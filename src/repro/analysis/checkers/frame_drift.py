@@ -61,6 +61,7 @@ class FrameDriftChecker(Checker):
         "repro.portfolio.faults",
         "repro.portfolio.sharing",
         "repro.portfolio.supervision",
+        "repro.portfolio.worker",
         "repro.service.cache",
         "repro.service.server",
         "repro.service.workers",

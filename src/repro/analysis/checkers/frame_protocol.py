@@ -92,6 +92,7 @@ class FrameProtocolChecker(Checker):
         "repro.portfolio.engine",
         "repro.portfolio.sharing",
         "repro.portfolio.supervision",
+        "repro.portfolio.worker",
         "repro.service.cache",
         "repro.service.server",
         "repro.service.workers",

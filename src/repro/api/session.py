@@ -3,8 +3,8 @@
 :class:`Session` is the public solving surface of the reproduction.  It
 owns the declarative state — terms, assertions, scopes — and per-session
 accounting, and fronts a :class:`~repro.api.backends.SolverBackend` that
-does the solving.  Compared to the legacy ``repro.smt.Solver`` surface it
-adds:
+does the solving.  Compared to driving the engine
+(:class:`repro.smt.SolverEngine`) directly it adds:
 
 * **Pluggable backends** — ``Session(backend="native")`` solves with the
   in-process DPLL(T) engine; ``backend="serialization"`` renders each

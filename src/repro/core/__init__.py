@@ -17,7 +17,6 @@ from .synthesizer import (
     SynthesisOptions,
     SynthesisResult,
     solve,
-    synthesize,
 )
 from .validator import collect_violations, validate_solution
 
@@ -41,6 +40,5 @@ __all__ = [
     "SynthesisResult",
     "collect_violations",
     "solve",
-    "synthesize",
     "validate_solution",
 ]

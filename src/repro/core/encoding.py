@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..api import Session
 from ..errors import EncodingError
 from ..network.frames import MessageInstance
 from ..network.paths import route_candidates
@@ -47,7 +48,6 @@ from ..smt import (
     Not,
     Or,
     Real,
-    Solver,
 )
 from .problem import ControlApplication, SynthesisProblem
 
@@ -78,7 +78,7 @@ class MessagePlan:
 
 
 class Encoder:
-    """Builds the SMT formulation into a :class:`repro.smt.Solver`.
+    """Builds the SMT formulation into a :class:`repro.api.Session`.
 
     One encoder instance corresponds to one solver invocation (one stage
     of the incremental heuristic, or the whole problem when stages=1).
@@ -87,7 +87,7 @@ class Encoder:
     def __init__(
         self,
         problem: SynthesisProblem,
-        solver: Solver,
+        solver: Session,
         route_limit: Optional[int] = None,
         path_cutoff: Optional[int] = None,
         namespace: Optional[str] = None,

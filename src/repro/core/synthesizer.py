@@ -47,7 +47,6 @@ API's assumption machinery:
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -261,8 +260,7 @@ def solve(
 ) -> SynthesisResult:
     """Jointly route and schedule all messages of one hyper-period.
 
-    This is the canonical entry point (the legacy :func:`synthesize`
-    delegates here).  ``session`` injects a caller-owned
+    This is the canonical entry point.  ``session`` injects a caller-owned
     :class:`repro.api.Session`; by default one is created according to
     ``options.backend`` and used for the entire run.  ``on_event``
     observes solve progress — currently one event kind,
@@ -495,22 +493,3 @@ def _explain_core(outcome, ledger: _FreezeLedger, encoder: Encoder):
         else:
             labels.append(selector_names.get(expr, repr(expr)))
     return labels
-
-
-#: One-shot deprecation latch for the legacy ``synthesize`` entry point.
-_SYNTHESIZE_DEPRECATION_WARNED = False
-
-
-def synthesize(
-    problem: SynthesisProblem, options: Optional[SynthesisOptions] = None
-) -> SynthesisResult:
-    """Deprecated alias of :func:`solve` (the session-based driver)."""
-    global _SYNTHESIZE_DEPRECATION_WARNED
-    if not _SYNTHESIZE_DEPRECATION_WARNED:
-        _SYNTHESIZE_DEPRECATION_WARNED = True
-        warnings.warn(
-            "repro.core.synthesize is deprecated; use repro.core.solve",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-    return solve(problem, options)

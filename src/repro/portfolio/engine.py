@@ -1,10 +1,12 @@
 """Portfolio racing: run several synthesis strategies, first SAT wins.
 
-The engine launches one worker process per strategy (bounded by
-``max_workers``), watches their result pipes, and as soon as one reports
-a satisfiable schedule it terminates the rest — the classic SAT-portfolio
-scheme (each strategy explores a different slice of the search space, so
-the *minimum* of their runtimes is usually far below any fixed choice).
+The race is one scheduler over solver workers
+(:mod:`repro.portfolio.worker`): it keeps one attempt per strategy in
+flight on persistent worker processes (bounded by ``max_workers``),
+polls their frames, and as soon as one reports a satisfiable schedule it
+stops the rest — the classic SAT-portfolio scheme (each strategy
+explores a different slice of the search space, so the *minimum* of
+their runtimes is usually far below any fixed choice).
 
 Race verdicts are sound: ``unsat`` is reported only when a *complete*
 strategy (all routes, single stage) actually proved it — the heuristics
@@ -26,18 +28,16 @@ boundary: a frame that fails validation is quarantined (counted, never
 imported, never fatal).
 
 The race is *supervised* (see :mod:`repro.portfolio.supervision` and
-``docs/robustness.md``): workers heartbeat over the same pipe, a worker
-that dies without reporting (SIGKILL, OOM, a dropped result frame) or
-misses enough heartbeats is relaunched with capped exponential backoff
-up to ``Strategy.max_crash_retries`` times — re-seeded from the pool —
-and a strategy that exhausts that budget degrades the race to the serial
-backend for whatever remains undecided, recording
-``PortfolioResult.degraded_to_serial``.  Worker teardown always
-escalates ``terminate()`` → ``join(grace)`` → ``kill()`` and closes the
-parent's pipe end on every exit path, so a finished race leaks neither
-zombies nor file descriptors.  Deterministic failures can be injected
-with a :mod:`~repro.portfolio.faults` plan to exercise all of this on
-demand.
+``docs/robustness.md``): workers heartbeat, a worker that dies without
+reporting (SIGKILL, OOM, a dropped result frame) or misses enough
+heartbeats is relaunched with capped exponential backoff up to
+``Strategy.max_crash_retries`` times — re-seeded from the pool — and a
+strategy that exhausts that budget degrades the race: the remaining
+work moves onto an in-process worker, recording
+``PortfolioResult.degraded_to_serial``.  A finished race closes every
+worker, so it leaks neither zombies nor file descriptors.
+Deterministic failures can be injected with a
+:mod:`~repro.portfolio.faults` plan to exercise all of this on demand.
 
 Results always include one :class:`StrategyResult` per entered strategy,
 so experiment code can attribute wins, losses, and cancellations::
@@ -48,39 +48,35 @@ so experiment code can attribute wins, losses, and cancellations::
     for sr in res.strategy_results:
         print(sr.name, sr.status, f"{sr.wall_time:.2f}s", sr.statistics)
 
-Workers communicate over :class:`multiprocessing.Pipe`; the schedule
-travels back as plain :class:`~repro.core.solution.MessageSchedule`
-records and is re-attached to the caller's problem object, so no solver
-state ever crosses the process boundary.  ``backend="serial"`` runs the
-strategies in order in-process (deterministic, used on platforms without
-usable subprocesses and by the ``portfolio`` bench); a failed process
-launch degrades to it automatically.  Knowledge sharing and crash
-supervision work in both backends — serially, knowledge flows from each
-finished strategy into the next, and a :class:`DeadlineWatchdog` bounds
-native attempts mid-check so the global deadline holds even inside one
-long strategy.
+The schedule travels back as plain
+:class:`~repro.core.solution.MessageSchedule` records and is re-attached
+to the caller's problem object, so no solver state ever crosses the
+process boundary.  ``backend="serial"`` is the same scheduler over one
+in-process worker, running the strategies in order (deterministic, used
+on platforms without usable subprocesses and by the ``portfolio``
+bench); a failed process launch degrades to it automatically.
+Knowledge sharing and crash supervision work in both backends —
+serially, knowledge flows from each finished strategy into the next, and
+the worker's interrupt thread bounds native attempts mid-check so the
+global deadline holds even inside one long strategy.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import multiprocessing.connection
-import os
 import time
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..api import NativeBackend, Session
 from ..core.solution import Solution
-from ..core.synthesizer import MODE_STABILITY, SynthesisResult
-from . import sharing
-from .faults import FaultPlan, InjectedCrash, wrap_emit
-from .frames import (KIND_ARTIFACT, KIND_HEARTBEAT, KIND_RESULT,
-                     KIND_STAGE_FROZEN)
+from ..core.synthesizer import MODE_STABILITY
+from .faults import FaultPlan
+from .frames import KIND_ARTIFACT, KIND_HEARTBEAT, KIND_RESULT
 from .sharing import KnowledgePool
 from .strategies import Strategy, default_portfolio
-from .supervision import (DeadlineWatchdog, SupervisionPolicy, Supervisor,
-                          heartbeat_frame)
+from .supervision import SupervisionPolicy, Supervisor
+from .worker import (InlineWorker, Job, ProcessWorker, WorkerCrashed,
+                     execute_strategy)
 
 #: Terminal per-strategy statuses.
 STATUS_SAT = "sat"
@@ -173,7 +169,7 @@ def synthesize_portfolio(
     cancelled.  ``timeout`` bounds the race in seconds: the process
     backend enforces it by terminating workers at the deadline, while
     the serial backend enforces it *mid-strategy* for native attempts
-    (a deadline watchdog interrupts the engine at its next conflict) and
+    (the worker's interrupt thread stops the engine at its next conflict) and
     between strategies otherwise.
 
     Per-strategy budgets (``Strategy.timeout`` / ``Strategy.restarts``)
@@ -201,167 +197,16 @@ def synthesize_portfolio(
     names = [s.name for s in entries]
     if len(set(names)) != len(names):
         raise ValueError(f"duplicate strategy names in portfolio: {names}")
-    policy = supervision or SupervisionPolicy()
-    if backend == "serial":
-        return _race_serial(problem, entries, timeout, share_knowledge,
-                            policy, fault_plan)
-    if backend != "process":
+    if backend not in ("process", "serial"):
         raise ValueError(f"unknown backend {backend!r} (use 'process' or 'serial')")
-    try:
-        return _race_processes(problem, entries, max_workers, timeout,
-                               share_knowledge, policy, fault_plan)
-    except OSError:
-        # No subprocess could be launched at all (restricted sandbox):
-        # degrade gracefully.  Launch failures *mid-race* are handled
-        # inside _race_processes and never reach this fallback.
-        return _race_serial(problem, entries, timeout, share_knowledge,
-                            policy, fault_plan, degraded=True)
+    race = _Race(problem, entries, max_workers, timeout, share_knowledge,
+                 supervision or SupervisionPolicy(), fault_plan,
+                 serial=backend == "serial")
+    return race.run()
 
 
-# ---------------------------------------------------------------------------
-# Running one strategy (shared by the worker processes and the serial path)
-# ---------------------------------------------------------------------------
-
-
-def _execute_strategy(problem, strategy: Strategy, emit=None,
-                      heartbeat=None, deadline: Optional[float] = None) -> dict:
-    """Run one strategy to completion; return its result payload.
-
-    ``emit`` (optional) receives knowledge artifacts as they become
-    available: frozen stage prefixes while solving, learned clauses and
-    route vetoes on a provable unsat.  ``heartbeat`` (optional) is
-    called with the engine at every restart boundary — the worker wires
-    its throttled liveness frames through it.  ``deadline`` (absolute
-    ``perf_counter`` time) arms a :class:`DeadlineWatchdog` over native
-    attempts so an in-process solve is interrupted mid-check when the
-    race's global budget runs out.
-
-    Native-backend strategies solve on a locally built engine whose
-    statistics-stream tag carries the strategy name, so benchmark
-    trajectories can attribute per-check work per strategy
-    (``by_backend`` roll-up in ``BENCH_*.json``).
-    """
-    from ..core import synthesizer as synth
-
-    # One blanket guard around the whole attempt (engine construction,
-    # solve, artifact export): any failure becomes this strategy's error
-    # result instead of sinking the race — the serial backend runs this
-    # in-process, so an escaped exception would lose every other entrant.
-    # InjectedCrash is the one deliberate exception: it models a death
-    # that never reports, so it must escape to the supervisor.
-    try:
-        opts = strategy.options
-        emit = wrap_emit(emit, opts.faults)
-        session = engine = None
-        if opts.backend == "native":
-            # synth.Solver is the patchable engine factory (the
-            # one-engine-per-run contract tests rely on it).  The
-            # strategy's engine-level options must reach the worker's
-            # engine here exactly as core.solve would wire them.
-            engine = synth.Solver(dl_propagation=opts.dl_propagation,
-                                  max_conflicts=opts.max_conflicts)
-            session = Session(backend=NativeBackend(engine=engine))
-            engine.backend_name = f"native[{strategy.name}]"
-            hooks = []
-            if heartbeat is not None:
-                hooks.append(heartbeat)
-            if emit is not None:
-                # Mid-check flush: at every SAT restart (and the final
-                # flush of a budget/interrupt abort) stream the current
-                # exportable knowledge, so a worker killed inside one
-                # long check still contributes to the pool.
-                def flush_restart(eng) -> None:
-                    for artifact in sharing.restart_artifacts(opts, eng):
-                        emit(artifact)
-                hooks.append(flush_restart)
-            if hooks:
-                def on_restart(eng) -> None:
-                    for hook in hooks:
-                        hook(eng)
-                engine.on_restart = on_restart
-        on_event = None
-        if emit is not None:
-            def on_event(event: dict) -> None:
-                if event.get("kind") == KIND_STAGE_FROZEN:
-                    emit(sharing.prefix_artifact(opts, event["stage"],
-                                                 event["fixed"]))
-        with DeadlineWatchdog(engine, deadline):
-            result: SynthesisResult = synth.solve(
-                problem, opts, session=session, on_event=on_event
-            )
-        if emit is not None:
-            for artifact in sharing.terminal_artifacts(opts, result, engine):
-                emit(artifact)
-        return _payload_of(result)
-    except InjectedCrash:
-        raise
-    except Exception as exc:  # noqa: BLE001 - report, don't sink the race
-        return {"status": STATUS_ERROR,
-                "error": f"{type(exc).__name__}: {exc}"}
-
-
-def _strategy_worker(conn, problem, strategy: Strategy, share: bool = False,
-                     policy: Optional[SupervisionPolicy] = None) -> None:
-    """Run one strategy; stream heartbeats, artifacts and the result back."""
-    policy = policy or SupervisionPolicy()
-    try:
-        emit = None
-        if share:
-            def emit(artifact: dict) -> None:
-                conn.send({"kind": KIND_ARTIFACT, "artifact": artifact})
-
-        # Liveness: one frame at attempt start (before any injected
-        # slow-start/hang, so the stall clock starts from real signal),
-        # then throttled frames from every restart boundary carrying the
-        # engine's progress counters.
-        last_beat = [time.monotonic()]
-        conn.send(heartbeat_frame(strategy.name, {}, phase="start"))
-
-        def heartbeat(eng) -> None:
-            now = time.monotonic()
-            if now - last_beat[0] < policy.heartbeat_interval:
-                return
-            last_beat[0] = now
-            try:
-                conn.send(heartbeat_frame(strategy.name, eng.statistics))
-            except (OSError, ValueError):
-                pass    # parent went away; the solve result still matters
-
-        payload = _execute_strategy(problem, strategy, emit,
-                                    heartbeat=heartbeat)
-        faults = strategy.options.faults
-        if faults is not None and faults.drop_result:
-            # Injected polite death: full solve, no result frame.  Exit
-            # hard so no atexit machinery sends anything on our behalf.
-            conn.close()
-            os._exit(0)
-        conn.send({"kind": KIND_RESULT, "payload": payload})
-    except Exception as exc:  # noqa: BLE001
-        try:
-            # Reached only when the exchange broke mid-flight (including
-            # a result send that itself raised); a best-effort error
-            # result beats silence, and a dead pipe just re-raises into
-            # the inner pass.
-            # repro: allow[frame-protocol] error result after broken send
-            conn.send({"kind": KIND_RESULT,
-                       "payload": {"status": STATUS_ERROR,
-                                   "error": f"{type(exc).__name__}: {exc}"}})
-        except Exception:
-            pass
-    finally:
-        conn.close()
-
-
-def _payload_of(result: SynthesisResult) -> dict:
-    return {
-        "status": result.status,
-        "synthesis_time": result.synthesis_time,
-        "stages_completed": result.stages_completed,
-        "failed_stage": result.failed_stage,
-        "statistics": result.statistics,
-        "schedules": result.solution.schedules if result.ok else None,
-        "mode": result.solution.mode if result.ok else None,
-    }
+#: One in-process attempt of a strategy: the solver worker's solve core.
+_execute_strategy = execute_strategy
 
 
 def _result_from_payload(
@@ -430,623 +275,415 @@ def _final_verdict(
     return STATUS_UNKNOWN, None
 
 
-def _reap(proc, grace: float) -> None:
-    """Escalated worker teardown: terminate → join(grace) → kill → join.
-
-    Always leaves the process joined (no zombie): a worker that ignores
-    SIGTERM for ``grace`` seconds — e.g. one injected into a hang loop,
-    or wedged in native code — gets SIGKILL, which cannot be ignored.
-    """
-    if proc.is_alive():
-        proc.terminate()
-        proc.join(grace)
-        if proc.is_alive():
-            proc.kill()
-    proc.join()
-
-
 # ---------------------------------------------------------------------------
-# Process racing
+# The race: one scheduler over N workers
 # ---------------------------------------------------------------------------
 
 
 @dataclass
-class _Attempt:
-    """Parent-side state of one running worker attempt."""
+class _InFlight:
+    """Parent-side state of one attempt in flight."""
 
-    proc: multiprocessing.process.BaseProcess
-    conn: multiprocessing.connection.Connection
+    worker: object               # a ProcessWorker or an InlineWorker
     started: float
     sdeadline: Optional[float]   # per-strategy deadline (absolute), clamped
-    attempt: int                 # 1-based launch attempt number
+    attempt: int                 # 1-based launch number
     sched: int                   # 1-based restart-schedule position
     last_signal: float           # last heartbeat/artifact time (stall clock)
 
 
-def _race_processes(
-    problem,
-    entries: List[Strategy],
-    max_workers: Optional[int],
-    timeout: Optional[float],
-    share_knowledge: bool,
-    policy: SupervisionPolicy,
-    fault_plan: Optional[FaultPlan],
-) -> PortfolioResult:
-    ctx = multiprocessing.get_context()
-    # Default to racing *every* strategy at once: a portfolio's value is the
-    # minimum of its entrants' runtimes, and even on few cores the OS
-    # timeshares far better than letting one slow strategy hog the lane.
-    # ``max_workers`` caps the fan-out for memory-constrained callers.
-    workers = max(1, min(len(entries), max_workers or len(entries)))
-    t0 = time.perf_counter()
-    deadline = t0 + timeout if timeout is not None else None
-    pool = KnowledgePool() if share_knowledge else None
-    supervisor = Supervisor(policy)
+class _Race:
+    """Schedules strategy attempts onto workers until the race is decided.
 
-    # Launch queue: (idx, strategy, attempt_no, sched_no, not_before).
-    # ``attempt_no`` counts every launch (accounting, fault targeting);
-    # ``sched_no`` is the position in the per-strategy budget schedule
-    # (1 = strategy.timeout, k>1 = restarts[k-2]) and only advances on
-    # budget expiry — a crash retry relaunches with the budget the dead
-    # attempt had, so crashes neither consume schedule entries nor run
-    # off the end of ``restarts``.  ``not_before`` delays crash-retry
-    # relaunches (exponential backoff).
-    pending: List[Tuple[int, Strategy, int, int, float]] = [
-        (idx, s, 1, 1, t0) for idx, s in enumerate(entries)
-    ]
-    running: Dict[int, _Attempt] = {}
-    results: Dict[int, StrategyResult] = {}
-    spent_wall: Dict[int, float] = {}  # accumulated wall time of dead attempts
-    crash_retries: Dict[int, int] = {}  # crash/stall relaunches granted
-    # Strategies the process backend gave up on: (idx, strategy,
-    # next_attempt).  Run serially after the process race settles.
-    serial_rescue: List[Tuple[int, Strategy, int]] = []
-    degraded = False
-    winner_idx: Optional[int] = None
-    winner_payload: Optional[dict] = None
-    winner_wall = 0.0
-    prover_idx: Optional[int] = None  # complete strategy that proved unsat
+    A process race keeps up to ``capacity`` attempts in flight on
+    :class:`~repro.portfolio.worker.ProcessWorker` s and reuses a worker
+    once its attempt reported.  The serial backend, and a process race
+    that degraded, run attempts one at a time on an
+    :class:`~repro.portfolio.worker.InlineWorker` — a degraded race only
+    once no process attempt is left running, so the in-process phase
+    follows the process phase.
 
-    def attempt_budget(strategy: Strategy, sched: int) -> Optional[float]:
-        if strategy.timeout is None:
-            return None
-        if sched == 1 or not strategy.restarts:
-            return strategy.timeout
-        # Clamped defensively: a relaunch queued past the schedule keeps
-        # the last budget instead of indexing off the end.
-        return strategy.restarts[min(sched - 2, len(strategy.restarts) - 1)]
-
-    def emits_heartbeats(idx: int) -> bool:
-        # Only the native backend wires the on_restart heartbeat hook;
-        # a worker on any other backend sends just its start frame, so
-        # silence there is not evidence of a stall.
-        return entries[idx].options.backend == "native"
-
-    def launch_available() -> None:
-        nonlocal degraded
-        now = time.perf_counter()
-        deferred: List[Tuple[int, Strategy, int, int, float]] = []
-        while pending and len(running) < workers and not degraded:
-            idx, strategy, attempt, sched, not_before = pending.pop(0)
-            if not_before > now:
-                deferred.append((idx, strategy, attempt, sched, not_before))
-                continue
-            launched = strategy
-            if pool is not None:
-                # Seed restarts and late launches with everything the
-                # pool has gathered so far (cold start -> warm start).
-                seeded = pool.seeded_options(strategy.options)
-                if seeded is not strategy.options:
-                    launched = replace(strategy, options=seeded)
-            if fault_plan is not None:
-                injected = fault_plan.for_attempt(strategy.name, attempt,
-                                                  harsh=True)
-                if injected is not None:
-                    launched = replace(
-                        launched,
-                        options=replace(launched.options, faults=injected))
-            parent_conn, child_conn = ctx.Pipe(duplex=False)
-            # On the except-OSError path below start() failed, so no OS
-            # process exists and there is nothing to reap or terminate.
-            # repro: allow[resource-hygiene] unstarted Process needs no reap
-            proc = ctx.Process(
-                target=_strategy_worker,
-                args=(child_conn, problem, launched, pool is not None, policy),
-                name=f"portfolio-{strategy.name}",
-                daemon=True,
-            )
-            try:
-                proc.start()
-            except OSError:
-                parent_conn.close()
-                child_conn.close()
-                if not running and not results and not serial_rescue:
-                    # Nothing launched yet: let the caller fall back to
-                    # the serial backend wholesale.
-                    raise
-                # Mid-race launch failure (e.g. EAGAIN near the process
-                # limit): the process backend is no longer trustworthy —
-                # degrade this strategy (and everything still pending)
-                # to the serial phase instead of erroring it out.
-                degraded = True
-                supervisor.note_degraded(strategy.name)
-                serial_rescue.append((idx, strategy, attempt))
-                continue
-            child_conn.close()
-            started = time.perf_counter()
-            budget = attempt_budget(strategy, sched)
-            # Per-strategy deadline, clamped to the global one.
-            sdeadline = started + budget if budget is not None else None
-            if deadline is not None:
-                sdeadline = deadline if sdeadline is None else min(sdeadline, deadline)
-            running[idx] = _Attempt(proc, parent_conn, started, sdeadline,
-                                    attempt, sched, last_signal=started)
-        pending.extend(deferred)
-        if degraded and pending:
-            # Once degraded, stop spawning: everything still queued is
-            # handed to the serial phase.
-            for idx, strategy, attempt, _sched, _nb in pending:
-                serial_rescue.append((idx, strategy, attempt))
-            pending.clear()
-
-    def pump(idx: int) -> Optional[Tuple[str, object]]:
-        """Drain a worker's queued frames; classify what ended them.
-
-        Heartbeats refresh the stall clock and feed the supervisor;
-        knowledge artifacts are absorbed into the pool (quarantined when
-        they fail validation) — in both cases the worker keeps running.
-        Returns None while the worker is still going, ``("result",
-        payload)`` when it reported, or ``("died", exitcode)`` on a
-        broken pipe — a death without a result, whatever the exitcode.
-        """
-        att = running[idx]
-        name = entries[idx].name
-        try:
-            while att.conn.poll():
-                msg = att.conn.recv()
-                if isinstance(msg, dict) and msg.get("kind") == KIND_HEARTBEAT:
-                    att.last_signal = time.perf_counter()
-                    supervisor.note_heartbeat(name, msg)
-                    continue
-                if isinstance(msg, dict) and msg.get("kind") == KIND_ARTIFACT:
-                    att.last_signal = time.perf_counter()
-                    if pool is not None and not pool.absorb(
-                            msg.get("artifact"), source=name):
-                        supervisor.note_quarantined(name)
-                    continue
-                if isinstance(msg, dict) and msg.get("kind") == KIND_RESULT:
-                    return ("result", msg.get("payload"))
-                # Unknown frame shape: quarantine it, keep listening —
-                # one garbled frame must not cost the whole attempt.
-                supervisor.note_quarantined(name)
-        except (EOFError, OSError):
-            return ("died", att.proc.exitcode)
-        return None
-
-    def settle(idx: int, att: _Attempt, payload: dict) -> None:
-        """Record one finished attempt's report; track race deciders."""
-        nonlocal winner_idx, winner_payload, winner_wall, prover_idx
-        wall = spent_wall.get(idx, 0.0) + time.perf_counter() - att.started
-        att.conn.close()
-        att.proc.join()
-        result = _result_from_payload(entries[idx].name, payload, wall,
-                                      attempts=att.attempt)
-        results[idx] = result
-        if winner_idx is None and result.status == STATUS_SAT:
-            winner_idx, winner_payload, winner_wall = idx, payload, wall
-        if (prover_idx is None and result.status == STATUS_UNSAT
-                and entries[idx].is_complete):
-            prover_idx = idx
-
-    def salvage_artifacts(conn, source: str) -> None:
-        """Absorb artifacts a worker streamed before it was terminated."""
-        try:
-            while conn.poll():
-                msg = conn.recv()
-                if isinstance(msg, dict) and msg.get("kind") == KIND_ARTIFACT:
-                    if pool is not None and not pool.absorb(
-                            msg.get("artifact"), source=source):
-                        supervisor.note_quarantined(source)
-        except (EOFError, OSError):
-            pass
-
-    def harvest(idx: int) -> bool:
-        """Settle or bury a worker whose pipe has something; False = alive."""
-        outcome = pump(idx)
-        if outcome is None:
-            return False
-        kind, value = outcome
-        att = running.pop(idx)
-        if kind == "result":
-            settle(idx, att, value)
-        else:
-            attempt_died(idx, att, stalled=False)
-        return True
-
-    def attempt_died(idx: int, att: _Attempt, stalled: bool) -> None:
-        """Supervise a crash/stall: reap, then retry, or degrade."""
-        nonlocal degraded
-        strategy = entries[idx]
-        name = strategy.name
-        salvage_artifacts(att.conn, name)
-        _reap(att.proc, policy.kill_grace)
-        att.conn.close()
-        now = time.perf_counter()
-        spent_wall[idx] = spent_wall.get(idx, 0.0) + now - att.started
-        if stalled:
-            supervisor.note_stall(name)
-        else:
-            supervisor.note_crash(name)
-        used = crash_retries.get(idx, 0)
-        if used < strategy.max_crash_retries and (
-                deadline is None or now < deadline):
-            crash_retries[idx] = used + 1
-            supervisor.note_retry(name)
-            # Relaunch after capped exponential backoff; the launch path
-            # re-seeds the attempt from the knowledge pool.  The retry
-            # keeps the dead attempt's schedule position (``att.sched``):
-            # a crash is not a budget expiry, so it must neither consume
-            # a restart-schedule entry nor index past the schedule.
-            not_before = now + policy.backoff(used + 1)
-            if deadline is not None:
-                not_before = min(not_before, deadline)
-            pending.append((idx, strategy, att.attempt + 1, att.sched,
-                            not_before))
-            return
-        # Crash budget exhausted: the process backend is persistently
-        # failing this strategy — degrade to the serial fallback (which
-        # also stops further spawns; a systemic fault like OOM pressure
-        # would only grind every remaining launch through the same
-        # budget).
-        supervisor.note_exhausted(name)
-        supervisor.note_degraded(name)
-        degraded = True
-        serial_rescue.append((idx, strategy, att.attempt + 1))
-
-    def expire(idx: int, now: float) -> None:
-        """Kill an attempt at its per-strategy deadline; maybe re-queue."""
-        # A result may have landed after the last connection.wait(): honor
-        # it (it could be the winning sat) instead of discarding it.
-        if harvest(idx):
-            return
-        att = running.pop(idx)
-        salvage_artifacts(att.conn, entries[idx].name)
-        _reap(att.proc, policy.kill_grace)
-        att.conn.close()
-        spent_wall[idx] = spent_wall.get(idx, 0.0) + now - att.started
-        strategy = entries[idx]
-        has_budget = att.sched - 1 < len(strategy.restarts)
-        global_open = deadline is None or now < deadline
-        if has_budget and global_open:
-            pending.append((idx, strategy, att.attempt + 1, att.sched + 1,
-                            now))
-        else:
-            results[idx] = StrategyResult(
-                name=strategy.name,
-                status=STATUS_TIMEOUT,
-                wall_time=spent_wall[idx],
-                attempts=att.attempt,
-            )
-
-    launch_available()
-    timed_out = False
-    while (running or pending) and winner_idx is None and prover_idx is None:
-        now = time.perf_counter()
-        if deadline is not None and now >= deadline:
-            timed_out = True
-            break
-        wait_for = 0.1
-        if deadline is not None:
-            wait_for = min(wait_for, max(0.0, deadline - now))
-        for idx, att in running.items():
-            if att.sdeadline is not None:
-                wait_for = min(wait_for, max(0.0, att.sdeadline - now))
-            if policy.stall_timeout is not None and emits_heartbeats(idx):
-                wait_for = min(wait_for, max(
-                    0.0, att.last_signal + policy.stall_timeout - now))
-        for _idx, _s, _a, _sc, not_before in pending:
-            wait_for = min(wait_for, max(0.0, not_before - now))
-        if running:
-            ready = multiprocessing.connection.wait(
-                [att.conn for att in running.values()], timeout=wait_for
-            )
-            ready_set = set(ready)
-            # Harvest *every* ready worker before declaring the race
-            # over, so strategies that finished in the same poll window
-            # report their real status instead of being miscounted as
-            # cancelled (the winner is still the first sat in launch
-            # order).
-            for idx in sorted(running):
-                if idx in running and running[idx].conn in ready_set:
-                    harvest(idx)
-        elif wait_for > 0:
-            # Nothing running — only backoff-delayed relaunches queued.
-            time.sleep(wait_for)
-        now = time.perf_counter()
-        if deadline is not None and now >= deadline:
-            timed_out = True
-            break
-        if winner_idx is not None or prover_idx is not None:
-            break
-        # Stall detection: a worker silent past the timeout is dead to
-        # us even if the process is technically alive (hung in native
-        # code, swapping, or fault-injected into a sleep loop).  Only
-        # heartbeat-capable (native-backend) workers are eligible — on
-        # any other backend silence is the norm, not a stall.
-        if policy.stall_timeout is not None:
-            for idx in sorted(running):
-                if idx not in running or not emits_heartbeats(idx):
-                    continue
-                att = running[idx]
-                if now - att.last_signal >= policy.stall_timeout:
-                    if not harvest(idx):
-                        attempt_died(idx, running.pop(idx), stalled=True)
-        # Enforce per-strategy deadlines (restart schedule re-queues).
-        for idx in sorted(running):
-            if idx not in running:
-                continue
-            att = running[idx]
-            if att.sdeadline is not None and now >= att.sdeadline:
-                expire(idx, now)
-        launch_available()
-
-    if timed_out:
-        # The deadline break above fires before draining ready pipes: a
-        # result a worker sent just before the deadline still decides
-        # the race (consistent with expire()), so give every running
-        # worker one final non-blocking pump before reaping the rest as
-        # timeouts.
-        for idx in sorted(running):
-            outcome = pump(idx)
-            if outcome is not None and outcome[0] == "result":
-                settle(idx, running.pop(idx), outcome[1])
-
-    # Race over: stop whoever is still working and account for everyone.
-    # Losers' queued artifacts are salvaged first — a cancelled worker's
-    # mid-check exports are still knowledge (and still validated).
-    loser_status = STATUS_TIMEOUT if timed_out else STATUS_CANCELLED
-    for idx, att in list(running.items()):
-        salvage_artifacts(att.conn, entries[idx].name)
-        _reap(att.proc, policy.kill_grace)
-        att.conn.close()
-        results[idx] = StrategyResult(
-            name=entries[idx].name,
-            status=loser_status,
-            wall_time=spent_wall.get(idx, 0.0) + time.perf_counter() - att.started,
-            attempts=att.attempt,
-        )
-    running.clear()
-    for idx, strategy, attempt, _sched, _nb in pending:
-        if idx in results:
-            continue
-        # A queued strategy only "timed out" if the race did; one parked
-        # on a crash-retry backoff when the race was decided lost it
-        # (cancelled), and one never launched at all was skipped.
-        if timed_out:
-            queued_status = STATUS_TIMEOUT
-        elif attempt > 1:
-            queued_status = STATUS_CANCELLED
-        else:
-            queued_status = STATUS_SKIPPED
-        results[idx] = StrategyResult(
-            name=strategy.name,
-            status=queued_status,
-            wall_time=spent_wall.get(idx, 0.0),
-            attempts=attempt - 1 if attempt > 1 else 1,
-        )
-
-    # Graceful degradation: strategies the process backend gave up on
-    # (crash budget exhausted, or spawn failures) get one supervised
-    # serial pass — but only while the race is still undecided and the
-    # global deadline open.
-    decided = winner_idx is not None or prover_idx is not None
-    used_serial = False
-    for idx, strategy, attempt in serial_rescue:
-        if idx in results:
-            continue
-        now = time.perf_counter()
-        if decided:
-            results[idx] = StrategyResult(
-                name=strategy.name,
-                status=STATUS_TIMEOUT if timed_out else STATUS_CANCELLED,
-                wall_time=spent_wall.get(idx, 0.0),
-                attempts=max(1, attempt - 1),
-            )
-            continue
-        if timed_out or (deadline is not None and now >= deadline):
-            timed_out = True
-            results[idx] = StrategyResult(
-                name=strategy.name,
-                status=STATUS_TIMEOUT,
-                wall_time=spent_wall.get(idx, 0.0),
-                attempts=max(1, attempt - 1),
-            )
-            continue
-        used_serial = True
-        result, payload = _run_serial_strategy(
-            problem, strategy, deadline, pool, supervisor, policy,
-            fault_plan, first_attempt=attempt,
-            prior_wall=spent_wall.get(idx, 0.0))
-        results[idx] = result
-        if result.status == STATUS_SAT and winner_idx is None:
-            winner_idx, winner_payload = idx, payload
-            winner_wall = result.wall_time
-            decided = True
-        elif result.status == STATUS_UNSAT and strategy.is_complete:
-            prover_idx = idx
-            decided = True
-        elif result.status == STATUS_TIMEOUT:
-            timed_out = True
-
-    total = time.perf_counter() - t0
-    solution = (
-        _solution_from_payload(problem, winner_payload, winner_wall)
-        if winner_payload is not None
-        else None
-    )
-    for idx, sr in results.items():
-        extra = supervisor.strategy_statistics(entries[idx].name)
-        if extra:
-            sr.statistics = {**sr.statistics, **extra}
-    ordered = [results[i] for i in sorted(results)]
-    winner_name = entries[winner_idx].name if winner_idx is not None else None
-    status, verdict_by = _final_verdict(entries, ordered, winner_name,
-                                        timed_out)
-    return PortfolioResult(
-        status=status,
-        winner=winner_name,
-        solution=solution,
-        total_time=total,
-        strategy_results=ordered,
-        verdict_by=verdict_by,
-        pool_statistics=pool.statistics if pool is not None else {},
-        degraded_to_serial=used_serial,
-        supervision_statistics=supervisor.statistics,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Serial racing (fallback backend and degradation target)
-# ---------------------------------------------------------------------------
-
-
-def _run_serial_strategy(
-    problem,
-    strategy: Strategy,
-    deadline: Optional[float],
-    pool: Optional[KnowledgePool],
-    supervisor: Supervisor,
-    policy: SupervisionPolicy,
-    fault_plan: Optional[FaultPlan],
-    first_attempt: int = 1,
-    prior_wall: float = 0.0,
-) -> Tuple[StrategyResult, Optional[dict]]:
-    """One strategy's supervised in-process run (with crash retries).
-
-    The serial twin of a worker process plus its parent-side supervisor:
-    an attempt that raises :class:`InjectedCrash` (or drops its result)
-    is retried with the same capped-backoff schedule, re-seeded from the
-    pool, up to ``strategy.max_crash_retries`` times.  Native attempts
-    run under a :class:`DeadlineWatchdog`, so the global deadline is
-    enforced *mid-strategy*: an interrupted solve answers ``unknown``
-    and is reported here as ``timeout``.
+    The launch queue holds ``(idx, attempt, sched, not_before)``:
+    ``attempt`` counts every launch (accounting, fault targeting);
+    ``sched`` is the position in the strategy's budget schedule (1 =
+    ``strategy.timeout``, k>1 = ``restarts[k-2]``) and only advances on
+    budget expiry, so a crash retry neither consumes a schedule entry
+    nor runs off its end; ``not_before`` delays crash retries (backoff).
     """
-    name = strategy.name
-    attempt = first_attempt
-    crashes_used = 0
-    wall = prior_wall
-    while True:
-        run = strategy
-        emit = None
-        if pool is not None:
-            seeded = pool.seeded_options(strategy.options)
-            if seeded is not strategy.options:
-                run = replace(strategy, options=seeded)
 
-            def emit(artifact: dict, _name=name) -> None:
-                if not pool.absorb(artifact, source=_name):
-                    supervisor.note_quarantined(_name)
-        if fault_plan is not None:
-            injected = fault_plan.for_attempt(name, attempt, harsh=False)
-            if injected is not None:
-                run = replace(run, options=replace(run.options,
-                                                   faults=injected))
-        started = time.perf_counter()
-        payload: Optional[dict] = None
-        crashed = False
+    def __init__(self, problem, entries: List[Strategy],
+                 max_workers: Optional[int], timeout: Optional[float],
+                 share_knowledge: bool, policy: SupervisionPolicy,
+                 fault_plan: Optional[FaultPlan], serial: bool) -> None:
+        self.problem = problem
+        self.entries = entries
+        self.policy = policy
+        self.fault_plan = fault_plan
+        # Default to racing *every* strategy at once: a portfolio's value
+        # is the minimum of its entrants' runtimes, and even on few cores
+        # the OS timeshares far better than letting one slow strategy hog
+        # the lane.  ``max_workers`` caps the fan-out.
+        self.capacity = max(1, min(len(entries), max_workers or len(entries)))
+        self.t0 = time.perf_counter()
+        self.deadline = self.t0 + timeout if timeout is not None else None
+        self.pool = KnowledgePool() if share_knowledge else None
+        self.supervisor = Supervisor(policy)
+        self.serial = serial
+        self.inline = serial        # launches go to the inline worker
+        self.degraded = False       # the process backend gave up mid-race
+        self.spawned = 0
+        self.inline_launched = False
+        self.pending: List[Tuple[int, int, int, float]] = [
+            (idx, 1, 1, self.t0) for idx in range(len(entries))]
+        self.running: Dict[int, _InFlight] = {}
+        self.idle: list = []
+        self.results: Dict[int, StrategyResult] = {}
+        self.spent_wall: Dict[int, float] = {}  # wall time of dead attempts
+        self.crash_retries: Dict[int, int] = {}
+        self.winner: Optional[Tuple[int, dict, float]] = None
+        self.prover: Optional[int] = None  # complete strategy proving unsat
+        self.timed_out = False
+
+    # -- the loop ------------------------------------------------------------
+
+    def run(self) -> PortfolioResult:
         try:
-            payload = _execute_strategy(problem, run, emit, deadline=deadline)
-        except InjectedCrash:
-            crashed = True
-        wall += time.perf_counter() - started
-        if not crashed and run.options.faults is not None \
-                and run.options.faults.drop_result:
-            payload = None  # the result frame never arrives
-            crashed = True
-        if crashed:
-            supervisor.note_crash(name)
-            now = time.perf_counter()
-            if crashes_used < strategy.max_crash_retries and (
-                    deadline is None or now < deadline):
-                crashes_used += 1
-                supervisor.note_retry(name)
-                delay = policy.backoff(crashes_used)
-                if deadline is not None:
-                    delay = min(delay, max(0.0, deadline - now))
-                if delay:
-                    time.sleep(delay)
-                attempt += 1
+            self._launch_ready()
+            while (self.running or self.pending) and not self._decided():
+                if self._past_deadline():
+                    break
+                self._wait()
+                # Harvest *every* attempt before declaring the race over,
+                # so strategies that finished in the same poll window
+                # report their real status (the winner is still the
+                # first sat in launch order).
+                for idx in sorted(self.running):
+                    self._harvest(idx)
+                if self._past_deadline() or self._decided():
+                    break
+                now = time.perf_counter()
+                for idx in sorted(self.running):
+                    att = self.running.get(idx)
+                    if att is None:
+                        continue
+                    if self._stall_watched(idx) and (
+                            now - att.last_signal >= self.policy.stall_timeout):
+                        if not self._harvest(idx):
+                            self._died(idx, stalled=True)
+                    elif att.sdeadline is not None and now >= att.sdeadline:
+                        self._expire(idx, now)
+                self._launch_ready()
+            if self.timed_out:
+                # A result sent just before the deadline still decides
+                # the race.
+                for idx in sorted(self.running):
+                    self._harvest(idx, bury=False)
+            return self._result()
+        finally:
+            for att in self.running.values():
+                att.worker.close()
+            for worker in self.idle:
+                worker.close()
+
+    def _decided(self) -> bool:
+        return self.winner is not None or self.prover is not None
+
+    def _past_deadline(self) -> bool:
+        if self.deadline is not None and time.perf_counter() >= self.deadline:
+            self.timed_out = True
+        return self.timed_out
+
+    def _free_slot(self) -> bool:
+        if self.inline:
+            return not self.running
+        return len(self.running) < self.capacity
+
+    def _stall_watched(self, idx: int) -> bool:
+        # Only the native backend wires the restart-boundary heartbeat; a
+        # worker on any other backend sends just its start frame, so
+        # silence there is not evidence of a stall.
+        return (self.policy.stall_timeout is not None
+                and self.entries[idx].options.backend == "native")
+
+    def _wait(self) -> None:
+        """Block until a frame may be ready or a clock needs attention."""
+        now = time.perf_counter()
+        wait_for = 0.1
+        if self.deadline is not None:
+            wait_for = min(wait_for, self.deadline - now)
+        for idx, att in self.running.items():
+            if att.sdeadline is not None:
+                wait_for = min(wait_for, att.sdeadline - now)
+            if self._stall_watched(idx):
+                wait_for = min(wait_for, att.last_signal
+                               + self.policy.stall_timeout - now)
+        if self._free_slot():
+            queued = self.pending[:1] if self.inline else self.pending
+            for entry in queued:
+                wait_for = min(wait_for, entry[3] - now)
+        wait_for = max(0.0, wait_for)
+        handles = [att.worker.wait_handle for att in self.running.values()]
+        if None in handles:
+            return      # an inline attempt's frames are already buffered
+        if handles:
+            multiprocessing.connection.wait(handles, timeout=wait_for)
+        elif wait_for > 0:
+            time.sleep(wait_for)    # only backoff-delayed retries queued
+
+    # -- launching -----------------------------------------------------------
+
+    def _launch_ready(self) -> None:
+        now = time.perf_counter()
+        i = 0
+        while i < len(self.pending) and self._free_slot():
+            idx, attempt, sched, not_before = self.pending[i]
+            if not_before > now:
+                if self.inline:
+                    return      # the inline worker runs the queue in order
+                i += 1
                 continue
-            supervisor.note_exhausted(name)
-            payload = {
-                "status": STATUS_ERROR,
-                "error": (f"crashed on every attempt "
-                          f"({crashes_used + 1} tried, "
-                          f"{strategy.max_crash_retries} retries allowed)"),
-            }
-        result = _result_from_payload(name, payload, wall, attempts=attempt)
-        if (result.status == STATUS_UNKNOWN and deadline is not None
-                and time.perf_counter() >= deadline):
-            # The watchdog interrupted this attempt mid-check: that
-            # unknown is really the race's deadline expiring.
+            del self.pending[i]
+            self._launch(idx, attempt, sched)
+
+    def _worker(self):
+        mode = "inline" if self.inline else "process"
+        for i, worker in enumerate(self.idle):
+            if worker.mode == mode:
+                return self.idle.pop(i)
+        if self.inline:
+            return InlineWorker(self.policy, name="serial")
+        worker = ProcessWorker(self.policy, name=f"race-{self.spawned + 1}")
+        self.spawned += 1
+        return worker
+
+    def _launch(self, idx: int, attempt: int, sched: int) -> None:
+        strategy = self.entries[idx]
+        options = strategy.options
+        if self.pool is not None:
+            # Seed restarts and late launches with everything the pool
+            # has gathered so far (cold start -> warm start).
+            options = self.pool.seeded_options(options)
+        if self.fault_plan is not None:
+            injected = self.fault_plan.for_attempt(strategy.name, attempt,
+                                                   harsh=not self.inline)
+            if injected is not None:
+                options = replace(options, faults=injected)
+        launched = (strategy if options is strategy.options
+                    else replace(strategy, options=options))
+        try:
+            worker = self._worker()
+        except OSError:
+            # No process could be spawned (a restricted sandbox, EAGAIN
+            # near the process limit): the process backend is not
+            # trustworthy — this and all remaining work goes inline.
+            if self.spawned:
+                self.degraded = True
+                self.supervisor.note_degraded(strategy.name)
+            self.inline = True
+            self.pending.insert(0, (idx, attempt, sched, time.perf_counter()))
+            return
+        started = time.perf_counter()
+        timeout = sdeadline = None
+        if worker.mode == "inline":
+            # Bound the non-preemptible in-process attempt by the race's
+            # deadline; per-strategy budgets only apply to processes.
+            self.inline_launched = True
+            if self.deadline is not None:
+                timeout = max(0.0, self.deadline - started)
+        else:
+            budget = strategy.timeout
+            if budget is not None and sched > 1 and strategy.restarts:
+                budget = strategy.restarts[min(sched - 2,
+                                               len(strategy.restarts) - 1)]
+            sdeadline = started + budget if budget is not None else None
+            if self.deadline is not None:
+                sdeadline = (self.deadline if sdeadline is None
+                             else min(sdeadline, self.deadline))
+        self.running[idx] = _InFlight(worker, started, sdeadline, attempt,
+                                     sched, last_signal=started)
+        try:
+            worker.start(Job(self.problem, launched,
+                             share=self.pool is not None, timeout=timeout))
+        except WorkerCrashed:
+            self._died(idx, stalled=False)
+
+    # -- frames --------------------------------------------------------------
+
+    def _absorb(self, name: str, frame) -> None:
+        """Account one streamed frame: heartbeat, artifact or garbage."""
+        kind = frame.get("kind") if isinstance(frame, dict) else None
+        if kind == KIND_HEARTBEAT:
+            self.supervisor.note_heartbeat(name, frame)
+        elif kind == KIND_ARTIFACT:
+            if self.pool is not None and not self.pool.absorb(
+                    frame.get("artifact"), source=name):
+                self.supervisor.note_quarantined(name)
+        else:
+            # One garbled frame must not cost the whole attempt.
+            self.supervisor.note_quarantined(name)
+
+    def _harvest(self, idx: int, bury: bool = True) -> bool:
+        """Drain an attempt's frames; settle it on its result.
+
+        Returns False while the attempt is still working.  A worker that
+        died without a result is buried (retried or degraded) unless
+        ``bury`` is off.
+        """
+        att = self.running[idx]
+        name = self.entries[idx].name
+        try:
+            while (frame := att.worker.poll()) is not None:
+                if isinstance(frame, dict) and frame.get("kind") == KIND_RESULT:
+                    del self.running[idx]
+                    self._settle(idx, att, frame.get("payload"))
+                    return True
+                att.last_signal = time.perf_counter()
+                self._absorb(name, frame)
+        except WorkerCrashed:
+            if bury:
+                self._died(idx, stalled=False)
+            return bury
+        return False
+
+    def _settle(self, idx: int, att: _InFlight, payload) -> None:
+        """Record one finished attempt's report; track race deciders."""
+        wall = self.spent_wall.get(idx, 0.0) + time.perf_counter() - att.started
+        self.idle.append(att.worker)
+        result = _result_from_payload(self.entries[idx].name, payload, wall,
+                                      attempts=att.attempt)
+        if result.status == STATUS_UNKNOWN and payload.get("deadline_exceeded"):
+            # The interrupt thread stopped this attempt at the race's
+            # deadline: that unknown is the race timing out.
             result.status = STATUS_TIMEOUT
-        return result, payload
+        self.results[idx] = result
+        if self.winner is None and result.status == STATUS_SAT:
+            self.winner = (idx, payload, wall)
+        if (self.prover is None and result.status == STATUS_UNSAT
+                and self.entries[idx].is_complete):
+            self.prover = idx
 
+    def _bury(self, idx: int) -> Tuple[_InFlight, float]:
+        """Take an attempt off its worker; salvage its streamed knowledge."""
+        att = self.running.pop(idx)
+        name = self.entries[idx].name
+        try:
+            while (frame := att.worker.poll()) is not None:
+                if not (isinstance(frame, dict)
+                        and frame.get("kind") == KIND_RESULT):
+                    self._absorb(name, frame)
+        except WorkerCrashed:
+            pass
+        att.worker.close()
+        now = time.perf_counter()
+        self.spent_wall[idx] = self.spent_wall.get(idx, 0.0) + now - att.started
+        return att, now
 
-def _race_serial(
-    problem,
-    entries: List[Strategy],
-    timeout: Optional[float],
-    share_knowledge: bool = True,
-    policy: Optional[SupervisionPolicy] = None,
-    fault_plan: Optional[FaultPlan] = None,
-    degraded: bool = False,
-) -> PortfolioResult:
-    policy = policy or SupervisionPolicy()
-    supervisor = Supervisor(policy)
-    t0 = time.perf_counter()
-    deadline = t0 + timeout if timeout is not None else None
-    pool = KnowledgePool() if share_knowledge else None
-    results: List[StrategyResult] = []
-    winner: Optional[str] = None
-    solution: Optional[Solution] = None
-    decided = False
-    timed_out = False
+    # -- supervision -----------------------------------------------------------
 
-    for strategy in entries:
-        if decided:
-            results.append(StrategyResult(strategy.name, STATUS_SKIPPED, 0.0))
-            continue
-        if deadline is not None and time.perf_counter() >= deadline:
-            timed_out = True
-            results.append(StrategyResult(strategy.name, STATUS_TIMEOUT, 0.0))
-            continue
-        result, payload = _run_serial_strategy(
-            problem, strategy, deadline, pool, supervisor, policy, fault_plan)
-        results.append(result)
-        if result.status == STATUS_TIMEOUT:
-            timed_out = True
-        if result.status == STATUS_SAT and winner is None:
-            winner = strategy.name
-            solution = _solution_from_payload(problem, payload,
-                                              result.wall_time)
-            decided = True
-        elif result.status == STATUS_UNSAT and strategy.is_complete:
-            decided = True  # a proof: nothing left to race for
+    def _died(self, idx: int, stalled: bool) -> None:
+        """A crash or stall: retry after backoff, or degrade, or give up."""
+        att, now = self._bury(idx)
+        strategy = self.entries[idx]
+        name = strategy.name
+        if stalled:
+            self.supervisor.note_stall(name)
+        else:
+            self.supervisor.note_crash(name)
+        inline = att.worker.mode == "inline"
+        used = self.crash_retries.get(idx, 0)
+        if used < strategy.max_crash_retries and (
+                self.deadline is None or now < self.deadline):
+            self.crash_retries[idx] = used + 1
+            self.supervisor.note_retry(name)
+            # The retry is re-seeded from the pool at launch and keeps
+            # the dead attempt's schedule position.
+            not_before = now + self.policy.backoff(used + 1)
+            if self.deadline is not None:
+                not_before = min(not_before, self.deadline)
+            retry = (idx, att.attempt + 1, att.sched, not_before)
+            self.pending.insert(0 if inline else len(self.pending), retry)
+            return
+        self.supervisor.note_exhausted(name)
+        if inline:
+            self.results[idx] = StrategyResult(
+                name=name, status=STATUS_ERROR,
+                wall_time=self.spent_wall[idx], attempts=att.attempt,
+                error=(f"crashed on every attempt ({used + 1} tried, "
+                       f"{strategy.max_crash_retries} retries allowed)"))
+            return
+        # The process backend keeps failing this strategy: degrade.  Stop
+        # spawning (a systemic fault like OOM pressure would grind every
+        # launch through the same budget) and hand this strategy, with a
+        # fresh crash budget, and all remaining work to the inline worker.
+        self.supervisor.note_degraded(name)
+        self.inline = self.degraded = True
+        self.crash_retries[idx] = 0
+        self.pending.insert(0, (idx, att.attempt + 1, att.sched, now))
 
-    for sr in results:
-        extra = supervisor.strategy_statistics(sr.name)
-        if extra:
-            sr.statistics = {**sr.statistics, **extra}
-    status, verdict_by = _final_verdict(entries, results, winner, timed_out)
-    return PortfolioResult(
-        status=status,
-        winner=winner,
-        solution=solution,
-        total_time=time.perf_counter() - t0,
-        strategy_results=results,
-        verdict_by=verdict_by,
-        pool_statistics=pool.statistics if pool is not None else {},
-        degraded_to_serial=degraded,
-        supervision_statistics=supervisor.statistics,
-    )
+    def _expire(self, idx: int, now: float) -> None:
+        """Kill an attempt at its per-strategy deadline; maybe re-queue."""
+        # A result may have landed after the last wait: honor it (it
+        # could be the winning sat) instead of discarding it.
+        if self._harvest(idx):
+            return
+        att, _ = self._bury(idx)
+        strategy = self.entries[idx]
+        has_budget = att.sched - 1 < len(strategy.restarts)
+        if has_budget and (self.deadline is None or now < self.deadline):
+            self.pending.append((idx, att.attempt + 1, att.sched + 1, now))
+        else:
+            self.results[idx] = StrategyResult(
+                name=strategy.name, status=STATUS_TIMEOUT,
+                wall_time=self.spent_wall[idx], attempts=att.attempt)
+
+    # -- the verdict -----------------------------------------------------------
+
+    def _result(self) -> PortfolioResult:
+        # Stop whoever is still working and account for everyone; a
+        # loser's streamed mid-check exports are still knowledge.
+        loser = STATUS_TIMEOUT if self.timed_out else STATUS_CANCELLED
+        for idx in sorted(self.running):
+            att, _ = self._bury(idx)
+            self.results[idx] = StrategyResult(
+                name=self.entries[idx].name, status=loser,
+                wall_time=self.spent_wall[idx], attempts=att.attempt)
+        for idx, attempt, _sched, _not_before in self.pending:
+            # Queued work only "timed out" if the race did; a strategy
+            # parked on a crash-retry backoff, or handed to a degraded
+            # race's inline phase, lost it; one never launched was skipped.
+            if self.timed_out:
+                status = STATUS_TIMEOUT
+            elif attempt > 1 or self.degraded:
+                status = STATUS_CANCELLED
+            else:
+                status = STATUS_SKIPPED
+            self.results[idx] = StrategyResult(
+                name=self.entries[idx].name, status=status,
+                wall_time=self.spent_wall.get(idx, 0.0),
+                attempts=max(1, attempt - 1))
+        self.pending.clear()
+        total = time.perf_counter() - self.t0
+        solution = winner_name = None
+        if self.winner is not None:
+            idx, payload, wall = self.winner
+            winner_name = self.entries[idx].name
+            solution = _solution_from_payload(self.problem, payload, wall)
+        for idx, sr in self.results.items():
+            extra = self.supervisor.strategy_statistics(self.entries[idx].name)
+            if extra:
+                sr.statistics = {**sr.statistics, **extra}
+        ordered = [self.results[i] for i in sorted(self.results)]
+        status, verdict_by = _final_verdict(self.entries, ordered, winner_name,
+                                            self.timed_out)
+        return PortfolioResult(
+            status=status,
+            winner=winner_name,
+            solution=solution,
+            total_time=total,
+            strategy_results=ordered,
+            verdict_by=verdict_by,
+            pool_statistics=(self.pool.statistics
+                             if self.pool is not None else {}),
+            degraded_to_serial=self.inline_launched and not self.serial,
+            supervision_statistics=self.supervisor.statistics,
+        )

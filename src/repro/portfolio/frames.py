@@ -17,7 +17,7 @@ Three sub-vocabularies share the ``"kind"`` key:
 
 * **Pipe frames** (:data:`PIPE_KINDS`) — parent <-> worker traffic on
   the multiprocessing pipes: liveness, streamed knowledge, results, and
-  the service workers' request/shutdown envelope.
+  the solver workers' request/shutdown envelope.
 * **Artifact kinds** (:data:`ARTIFACT_KINDS`) — the knowledge payloads
   of :mod:`repro.portfolio.sharing` (also persisted by the service
   cache); validated at every pool boundary.
@@ -35,9 +35,9 @@ KIND_HEARTBEAT = "heartbeat"
 KIND_ARTIFACT = "artifact"
 #: A worker's terminal answer (payload under ``"payload"``).
 KIND_RESULT = "result"
-#: Service parent -> worker: solve this request.
+#: Parent -> worker process: run this job.
 KIND_REQUEST = "request"
-#: Service parent -> worker: exit the request loop cleanly.
+#: Parent -> worker process: exit the job loop cleanly.
 KIND_SHUTDOWN = "shutdown"
 
 # -- knowledge artifact kinds (see repro.portfolio.sharing) ----------------
@@ -83,7 +83,8 @@ FRAME_KINDS = PIPE_KINDS | ARTIFACT_KINDS | EVENT_KINDS
 #     any non-closed state --shutdown--> closed
 #
 # * heartbeat/artifact frames may stream before the result, never after:
-#   ``pump()``/``ServiceWorker.solve()`` stop reading on the result.
+#   every consumer reads through the solver worker's one frame poll
+#   (``repro.portfolio.worker``), and a job ends at its result frame.
 # * exactly one result: a second result frame is never consumed.
 # * shutdown is terminal — the worker loop exits on it.
 # * a ``recv()`` starts a fresh exchange (state back to ``start``);

@@ -277,6 +277,42 @@ def restart_artifacts(options, engine) -> List[dict]:
     }]
 
 
+def export_request_knowledge(options, result, engine) -> Dict[str, object]:
+    """What a completed service request contributes to the knowledge cache.
+
+    * ``clauses`` — schedule-vocabulary units + ranked learned clauses,
+      single-stage runs only (the same rule as :func:`terminal_artifacts`).
+      Unlike the race's terminal export this runs on *any* verdict:
+      learned clauses are entailed by the asserted formula regardless of
+      how the check ended, and the cache — unlike a race — outlives sat
+      results.
+    * ``route_veto`` — the doomed route-subset selection of a provable
+      unsat (``result.route_veto`` is only ever set for one).
+    * ``schedule`` — the winning schedule in stage-prefix message form,
+      replayed by recipients as an assumption probe.
+    """
+    clauses = ()
+    if (options.stages == 1 and engine is not None
+            and hasattr(engine, "export_learned_clauses")):
+        clauses = _exportable_clauses(engine)
+    schedule = ()
+    if result.solution is not None:
+        schedule = tuple(
+            (
+                sched.uid,
+                tuple(sched.route),
+                tuple(sorted((node, str(value))
+                             for node, value in sched.gammas.items())),
+            )
+            for _, sched in sorted(result.solution.schedules.items())
+        )
+    return {
+        "clauses": clauses,
+        "route_veto": tuple(result.route_veto) if result.route_veto else None,
+        "schedule": schedule,
+    }
+
+
 # ---------------------------------------------------------------------------
 # Pool-boundary validation (artifact quarantine)
 # ---------------------------------------------------------------------------

@@ -1,9 +1,9 @@
 """Supervision for portfolio workers: heartbeats, retry, degradation.
 
-The process-backend race in :mod:`repro.portfolio.engine` historically
-only handled workers that died *politely* (an EOF on the result pipe
-became an ``error`` result).  This module supplies the machinery that
-survives rude deaths — see ``docs/robustness.md`` for the full protocol:
+The race in :mod:`repro.portfolio.engine` and the synthesis service
+both run solver workers (:mod:`repro.portfolio.worker`) that may die
+*rudely*.  This module supplies the policy and the accounting that
+survive such deaths — see ``docs/robustness.md`` for the full protocol:
 
 * **Heartbeats** — workers emit ``{"kind": "heartbeat"}`` frames from
   the engine's ``on_restart`` hook (throttled to one per
@@ -24,17 +24,14 @@ survives rude deaths — see ``docs/robustness.md`` for the full protocol:
   quarantined frames; the engine folds these into per-strategy
   ``StrategyResult.statistics`` and the race-level
   ``PortfolioResult.supervision_statistics``.
-* **Deadline watchdog** — :class:`DeadlineWatchdog` interrupts a native
-  engine from a daemon thread once a deadline passes, so a *serial*
-  (non-preemptible) attempt can be bounded mid-check: the engine checks
-  its interrupt flag at every conflict, answers ``unknown``, and the
-  serial race converts that to ``timeout``.
+* **Deadlines** — in-process attempts are bounded mid-check by the
+  worker's interrupt thread (:class:`repro.portfolio.worker.Interrupter`):
+  the engine checks its interrupt flag at every conflict, answers
+  ``unknown``, and the race reports that attempt as ``timeout``.
 """
 
 from __future__ import annotations
 
-import threading
-import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
@@ -183,45 +180,3 @@ class Supervisor:
     @property
     def statistics(self) -> Dict[str, int]:
         return dict(self.counters)
-
-
-class DeadlineWatchdog:
-    """Interrupt a native engine once a wall-clock deadline passes.
-
-    A daemon thread polls every ``interval`` seconds and calls
-    ``engine.interrupt()`` (documented thread-safe; the SAT core checks
-    the flag at every conflict) *repeatedly* once past the deadline —
-    the flag is cleared at each ``check()`` entry, so a multi-check
-    solve needs re-interrupting until the driver gives up.  Use as a
-    context manager around the solve being bounded.
-    """
-
-    def __init__(self, engine, deadline: Optional[float],
-                 interval: float = 0.05) -> None:
-        self._engine = engine
-        self._deadline = deadline
-        self._interval = interval
-        self._stop = threading.Event()
-        self._thread: Optional[threading.Thread] = None
-
-    def __enter__(self) -> "DeadlineWatchdog":
-        if self._deadline is not None and self._engine is not None:
-            self._thread = threading.Thread(target=self._run, daemon=True,
-                                            name="portfolio-deadline")
-            self._thread.start()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join()
-            self._thread = None
-
-    def _run(self) -> None:
-        while not self._stop.is_set():
-            remaining = self._deadline - time.perf_counter()
-            if remaining <= 0:
-                self._engine.interrupt()
-                self._stop.wait(self._interval)
-            else:
-                self._stop.wait(min(self._interval, remaining))

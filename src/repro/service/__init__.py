@@ -18,6 +18,7 @@ matching semantics and their soundness argument, the admission/deadline
 knobs, the cache format, and the metrics table.
 """
 
+from ..portfolio.sharing import export_request_knowledge
 from .cache import CacheEntry, KnowledgeCache
 from .client import ServiceClient, request_over_tcp
 from .fingerprint import (
@@ -35,7 +36,7 @@ from .protocol import (
     problem_to_wire,
 )
 from .server import ServicePolicy, SynthesisServer
-from .workers import ServiceWorker, export_request_knowledge
+from .workers import ServiceWorker
 
 __all__ = [
     "CacheEntry",

@@ -39,11 +39,11 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 from ..portfolio.supervision import SupervisionPolicy, Supervisor
+from ..portfolio.worker import WorkerCrashed, WorkerStalled
 from .cache import CacheHit, KnowledgeCache
 from .protocol import (ProtocolError, SynthesisRequest, decode_frame,
                        encode_frame, request_from_wire)
-from .workers import (InlineWorker, ServiceWorker, WorkerCrashed,
-                      WorkerStalled)
+from .workers import InlineWorker, ServiceWorker
 
 #: Bounded history used for latency percentiles.
 _LATENCY_WINDOW = 4096

@@ -1,491 +1,85 @@
-"""Persistent solver workers behind the synthesis service.
+"""The synthesis service's persistent solver workers.
 
-A :class:`ServiceWorker` is one long-lived solver process that handles
-requests sequentially over a duplex pipe — the service analogue of the
-portfolio engine's per-strategy workers, but *reused* across requests
-so repeated solves pay the fork/import cost once.  The child runs
-``core.solve`` with the same wiring as a portfolio worker: a locally
-built native engine (so knowledge can be exported afterwards), an
-``on_restart`` heartbeat hook, and a :class:`DeadlineWatchdog` arming
-the request's deadline.  Cancellation is SIGUSR1: the child's handler
-calls ``interrupt()`` on the active session, the solve returns
-``unknown``, and the payload is flagged ``cancelled``.
+Both are the portfolio's solver worker (:mod:`repro.portfolio.worker`,
+lifecycle in ``docs/robustness.md``) plus one blocking ``solve()``:
+start the request as a job, then drain its frames until the result.
+:class:`ServiceWorker` is a persistent process (SIGUSR1 cancels the
+solve in flight); :class:`InlineWorker` solves in the calling thread,
+for deterministic tests, benchmarks, and sandboxes without fork.
 
-The parent side is deliberately *blocking* (the asyncio server runs it
-in an executor thread): it streams heartbeats, detects worker death as
-pipe EOF (raising :class:`WorkerCrashed` for the server's supervision
-retry loop), and reaps a worker that blows through its deadline plus
-grace (:class:`WorkerStalled`).
-
-:class:`InlineWorker` implements the same interface with no subprocess
-— solves run in the calling thread, and ``cancel()`` fires
-``Session.interrupt()`` directly.  It exists for deterministic tests,
-benchmarks, and sandboxes where forking is unavailable; injected
-crashes (:class:`~repro.portfolio.faults.InjectedCrash`) surface as
-:class:`WorkerCrashed` so the supervision path is identical.
+``solve()`` raises :class:`~repro.portfolio.worker.WorkerCrashed` when
+the worker died mid-request, and
+:class:`~repro.portfolio.worker.WorkerStalled` — after reaping it — when
+nothing came back by the deadline plus grace.  The caller owns retries
+and calls ``restart()``.
 """
 
 from __future__ import annotations
 
-import multiprocessing as mp
-import os
-import signal
-import threading
 import time
 from typing import Callable, Dict, Optional
 
-from ..api import NativeBackend, Session
-from ..core import synthesizer as synth
-from ..portfolio import sharing
-from ..portfolio.faults import InjectedCrash
-from ..portfolio.frames import (KIND_HEARTBEAT, KIND_REQUEST, KIND_RESULT,
-                                KIND_SHUTDOWN)
-from ..portfolio.supervision import (DeadlineWatchdog, SupervisionPolicy,
-                                     heartbeat_frame)
+from ..portfolio import worker as solver
+from ..portfolio.frames import KIND_HEARTBEAT, KIND_RESULT
+from ..portfolio.strategies import Strategy
+from ..portfolio.worker import WorkerStalled
 from .protocol import schedules_to_wire
 
-#: Pipe poll interval on the parent side (seconds).
+#: Frame poll interval while blocking for a result (seconds).
 _POLL = 0.05
 
 #: Extra parent-side slack past a request deadline before a silent
-#: worker is declared stalled and reaped: the child watchdog interrupts
-#: at the deadline, but the engine only honors it at a conflict
-#: boundary, so give the solve a moment to unwind and ship its payload.
+#: worker is declared stalled and reaped: the worker's interrupt thread
+#: stops the solve at the deadline, but the engine only honors it at a
+#: conflict boundary, so give the solve a moment to unwind and report.
 _DEADLINE_SLACK = 1.5
 
-
-class WorkerCrashed(RuntimeError):
-    """The worker died (EOF/SIGKILL/injected crash) mid-request."""
-
-
-class WorkerStalled(WorkerCrashed):
-    """The worker blew its deadline + grace without answering."""
+#: Strategy name of every service job (heartbeat frames, engine tag).
+_NAME = "service"
 
 
-# ---------------------------------------------------------------------------
-# Knowledge export (runs wherever the solve ran)
-# ---------------------------------------------------------------------------
+def _solve(worker, request_id: str, problem, options,
+           deadline: Optional[float] = None,
+           on_heartbeat: Optional[Callable[[dict], None]] = None,
+           ) -> Dict[str, object]:
+    """Start one request on ``worker`` and block for its payload.
 
-
-def export_request_knowledge(options, result, engine) -> Dict[str, object]:
-    """What a completed request contributes to the knowledge cache.
-
-    * ``clauses`` — schedule-vocabulary units + ranked learned clauses,
-      single-stage runs only (an incremental stage's database mixes in
-      freeze consequences; see :mod:`repro.portfolio.sharing`).  Unlike
-      the race's ``terminal_artifacts`` this exports on *any* verdict:
-      learned clauses are entailed by the asserted formula regardless of
-      how the check ended, and the cache — unlike a race — outlives sat
-      results.
-    * ``route_veto`` — the doomed route-subset selection of a provable
-      unsat (``result.route_veto`` is only ever set for one).
-    * ``schedule`` — the winning schedule in stage-prefix message form,
-      replayed by recipients as an assumption probe.
+    ``deadline`` is relative seconds from now; the payload's schedules
+    come back in wire form.
     """
-    clauses = ()
-    if (options.stages == 1 and engine is not None
-            and hasattr(engine, "export_learned_clauses")):
-        clauses = sharing._exportable_clauses(engine)
-    schedule = ()
-    if result.solution is not None:
-        schedule = tuple(
-            (
-                sched.uid,
-                tuple(sched.route),
-                tuple(sorted((node, str(value))
-                             for node, value in sched.gammas.items())),
-            )
-            for _, sched in sorted(result.solution.schedules.items())
-        )
-    return {
-        "clauses": clauses,
-        "route_veto": tuple(result.route_veto) if result.route_veto else None,
-        "schedule": schedule,
-    }
-
-
-# ---------------------------------------------------------------------------
-# Shared solve core (child process and inline worker)
-# ---------------------------------------------------------------------------
-
-
-def _build_session(options):
-    """A session built exactly as ``core.solve`` would, plus the engine
-    handle the worker needs for interrupts/watchdogs/knowledge export
-    (``synth.Solver`` is the patchable engine factory)."""
-    if options.backend == "native":
-        engine = synth.Solver(dl_propagation=options.dl_propagation,
-                              max_conflicts=options.max_conflicts)
-        engine.backend_name = "native[service]"
-        return Session(backend=NativeBackend(engine=engine)), engine
-    return Session(backend=options.backend), None
-
-
-class _CancelPump:
-    """Re-interrupt a session for as long as cancellation is requested.
-
-    One ``interrupt()`` only aborts the *current* check — the engine
-    clears its flag at every ``check()`` entry, and ``core.solve``'s
-    probe ladder runs several checks per request — so a single signal
-    could cancel a probe and leave the unrestricted solve running.
-    Mirroring :class:`~repro.portfolio.supervision.DeadlineWatchdog`,
-    a daemon thread keeps firing until the solve actually returns.
-    """
-
-    def __init__(self, session: Session, was_cancelled: Callable[[], bool],
-                 interval: float = 0.025) -> None:
-        self._session = session
-        self._was_cancelled = was_cancelled
-        self._interval = interval
-        self._stop = threading.Event()
-        self._thread = None
-
-    def __enter__(self) -> "_CancelPump":
-        self._thread = threading.Thread(target=self._run, daemon=True,
-                                        name="service-cancel-pump")
-        self._thread.start()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join()
-            self._thread = None
-
-    def _run(self) -> None:
-        while not self._stop.is_set():
-            if self._was_cancelled():
-                try:
-                    self._session.interrupt()
-                except Exception:
-                    pass
-            self._stop.wait(self._interval)
-
-
-def _solve_request(problem, options, deadline: Optional[float],
-                   register: Callable[[Optional[Session]], None],
-                   was_cancelled: Callable[[], bool],
-                   on_heartbeat: Optional[Callable[[dict], None]],
-                   heartbeat_interval: float) -> Dict[str, object]:
-    """Run one solve and build its result payload.
-
-    ``deadline`` is relative seconds from now; ``register`` publishes
-    the active session to whatever cancellation path the caller wires
-    (signal handler or ``InlineWorker.cancel``), and must be called
-    with None before returning.
-    """
-    session, engine = _build_session(options)
-    if engine is not None and on_heartbeat is not None:
-        last = [0.0]
-
-        def _beat(eng) -> None:
-            now = time.perf_counter()
-            if now - last[0] >= heartbeat_interval:
-                last[0] = now
-                on_heartbeat(heartbeat_frame(
-                    "service", getattr(eng, "statistics", {}) or {}))
-
-        engine.on_restart = _beat
-    abs_deadline = (time.perf_counter() + deadline
-                    if deadline is not None else None)
-    register(session)
-    try:
-        with DeadlineWatchdog(engine, abs_deadline), \
-                _CancelPump(session, was_cancelled):
-            result = synth.solve(problem, options, session=session)
-    finally:
-        register(None)
-    cancelled = was_cancelled() and result.status == "unknown"
-    deadline_exceeded = (not cancelled and result.status == "unknown"
-                         and abs_deadline is not None
-                         and time.perf_counter() >= abs_deadline)
-    schedules = ()
-    if result.solution is not None:
-        schedules = schedules_to_wire(result.solution.schedules)
-    return {
-        "status": result.status,
-        "cancelled": cancelled,
-        "deadline_exceeded": deadline_exceeded,
-        "synthesis_time": result.synthesis_time,
-        "stages_completed": result.stages_completed,
-        "statistics": dict(result.statistics),
-        "schedules": schedules,
-        "unsat_explanation": result.unsat_explanation,
-        "knowledge": export_request_knowledge(options, result, engine),
-    }
-
-
-# ---------------------------------------------------------------------------
-# Child process
-# ---------------------------------------------------------------------------
-
-#: Child-side cancellation state: the SIGUSR1 handler interrupts the
-#: active session (if any) and latches the flag for the current request.
-_child_state: Dict[str, object] = {"session": None, "cancelled": False}
-
-
-def _child_sigusr1(signum, frame) -> None:
-    _child_state["cancelled"] = True
-    session = _child_state["session"]
-    if session is not None:
-        try:
-            session.interrupt()
-        except Exception:
-            pass
-
-
-def _register_child(session: Optional[Session]) -> None:
-    if session is not None:
-        _child_state["cancelled"] = False
-    _child_state["session"] = session
-
-
-def service_worker_main(conn, heartbeat_interval: float) -> None:
-    """Entry point of one persistent worker process."""
-    signal.signal(signal.SIGUSR1, _child_sigusr1)
-
-    def beat(frame: dict) -> None:
-        try:
-            conn.send(frame)
-        except (BrokenPipeError, OSError):
-            pass
-
+    worker.start(solver.Job(problem, Strategy(_NAME, options),
+                            export_knowledge=True, timeout=deadline))
+    hard = (time.perf_counter() + deadline + worker.policy.kill_grace
+            + _DEADLINE_SLACK if deadline is not None else None)
     while True:
-        try:
-            msg = conn.recv()
-        except (EOFError, OSError):
-            break
-        kind = msg.get("kind")
-        if kind == KIND_SHUTDOWN:
-            break
-        if kind != KIND_REQUEST:
-            continue
-        try:
-            payload = _solve_request(
-                msg["problem"], msg["options"], msg.get("deadline"),
-                _register_child, lambda: bool(_child_state["cancelled"]),
-                beat, heartbeat_interval,
-            )
-        except InjectedCrash:
-            # A non-harsh injected crash in a process worker still means
-            # "this worker dies": exit uncleanly so the parent sees EOF
-            # and runs the same retry path as a SIGKILL.
-            os._exit(3)
-        except Exception as exc:  # solver bug: answer, don't die
-            payload = {"status": "error", "cancelled": False,
-                       "deadline_exceeded": False,
-                       "error": f"{type(exc).__name__}: {exc}"}
-        try:
-            conn.send({"kind": KIND_RESULT, "id": msg.get("id"),
-                       "payload": payload})
-        except (BrokenPipeError, OSError):
-            break
-    try:
-        conn.close()
-    except OSError:
-        pass
-
-
-# ---------------------------------------------------------------------------
-# Parent-side handles
-# ---------------------------------------------------------------------------
-
-
-class ServiceWorker:
-    """Parent-side handle of one persistent solver process."""
-
-    mode = "process"
-
-    def __init__(self, policy: Optional[SupervisionPolicy] = None,
-                 name: str = "w0") -> None:
-        self.policy = policy or SupervisionPolicy()
-        self.name = name
-        self.restarts = 0
-        self._proc: Optional[mp.Process] = None
-        self._conn = None
-        self._spawn()
-
-    # -- lifecycle -------------------------------------------------------
-
-    def _spawn(self) -> None:
-        parent, child = mp.Pipe()
-        proc = mp.Process(
-            target=service_worker_main,
-            args=(child, self.policy.heartbeat_interval),
-            daemon=True, name=f"service-worker-{self.name}",
-        )
-        proc.start()
-        child.close()
-        self._proc, self._conn = proc, parent
-
-    @property
-    def alive(self) -> bool:
-        return self._proc is not None and self._proc.is_alive()
-
-    @property
-    def pid(self) -> Optional[int]:
-        return self._proc.pid if self._proc is not None else None
-
-    def restart(self) -> None:
-        """Reap whatever is left and spawn a fresh process."""
-        self._reap()
-        self._spawn()
-        self.restarts += 1
-
-    def _reap(self) -> None:
-        proc, self._proc = self._proc, None
-        conn, self._conn = self._conn, None
-        if conn is not None:
-            try:
-                conn.close()
-            except OSError:
-                pass
-        if proc is None:
-            return
-        if proc.is_alive():
-            proc.terminate()
-            proc.join(self.policy.kill_grace)
-            if proc.is_alive():
-                proc.kill()
-                proc.join()
-        else:
-            proc.join()
-
-    def close(self) -> None:
-        """Graceful shutdown: ask nicely, then reap."""
-        if self._conn is not None and self.alive:
-            try:
-                self._conn.send({"kind": KIND_SHUTDOWN})
-                self._proc.join(self.policy.kill_grace)
-            except (BrokenPipeError, OSError):
-                pass
-        self._reap()
-
-    # -- requests --------------------------------------------------------
-
-    def cancel(self) -> bool:
-        """Interrupt the in-flight solve (SIGUSR1 -> session.interrupt)."""
-        if not self.alive:
-            return False
-        try:
-            os.kill(self._proc.pid, signal.SIGUSR1)
-            return True
-        except (ProcessLookupError, OSError):
-            return False
-
-    def solve(self, request_id: str, problem, options,
-              deadline: Optional[float] = None,
-              on_heartbeat: Optional[Callable[[dict], None]] = None,
-              ) -> Dict[str, object]:
-        """Dispatch one request and block for its payload.
-
-        Raises :class:`WorkerCrashed` on pipe EOF (the child died) and
-        :class:`WorkerStalled` — after reaping the child — when nothing
-        came back by the deadline plus grace.  The caller owns retries.
-        """
-        if not self.alive:
-            raise WorkerCrashed(f"worker {self.name} is not running")
-        try:
-            self._conn.send({"kind": KIND_REQUEST, "id": request_id,
-                             "problem": problem, "options": options,
-                             "deadline": deadline})
-        except (BrokenPipeError, OSError) as exc:
-            raise WorkerCrashed(f"worker {self.name}: {exc}") from None
-        hard = (time.perf_counter() + deadline
-                + self.policy.kill_grace + _DEADLINE_SLACK
-                if deadline is not None else None)
-        while True:
-            try:
-                if self._conn.poll(_POLL):
-                    frame = self._conn.recv()
-                else:
-                    frame = None
-            except (EOFError, OSError):
-                raise WorkerCrashed(
-                    f"worker {self.name} died mid-request") from None
-            if frame is not None:
-                kind = frame.get("kind")
-                if kind == KIND_RESULT and frame.get("id") == request_id:
-                    return frame["payload"]
-                if kind == KIND_HEARTBEAT and on_heartbeat is not None:
-                    on_heartbeat(frame)
-                continue
-            if not self.alive:
-                # Drain any final frames racing the death notice.
-                try:
-                    while self._conn.poll(0):
-                        frame = self._conn.recv()
-                        if (frame.get("kind") == KIND_RESULT
-                                and frame.get("id") == request_id):
-                            return frame["payload"]
-                except (EOFError, OSError):
-                    pass
-                raise WorkerCrashed(f"worker {self.name} died mid-request")
+        frame = worker.poll(_POLL)
+        if frame is None:
             if hard is not None and time.perf_counter() >= hard:
-                self._reap()
-                raise WorkerStalled(
-                    f"worker {self.name} stalled past its deadline")
+                worker.close()
+                raise WorkerStalled(f"worker {worker.name} stalled past "
+                                    f"the deadline of {request_id}")
+            continue
+        kind = frame.get("kind")
+        if kind == KIND_RESULT:
+            payload = frame["payload"]
+            payload["schedules"] = schedules_to_wire(
+                payload.get("schedules") or {})
+            return payload
+        if kind == KIND_HEARTBEAT and on_heartbeat is not None:
+            on_heartbeat(frame)
 
 
-class InlineWorker:
-    """In-process worker with the :class:`ServiceWorker` interface.
+class ServiceWorker(solver.ProcessWorker):
+    """A persistent solver process serving one request at a time."""
 
-    Solves run in the calling thread (the server's executor), so
-    ``cancel()`` can fire :meth:`repro.api.Session.interrupt` directly
-    and injected crashes surface as :class:`WorkerCrashed` — the same
-    supervision story as the process worker, minus the fork.
-    """
+    process_prefix = "service-worker"
+    # Both are bound on this class, not just inherited, so a tracer can
+    # wrap the service's solves and restarts by class attribute.
+    solve = _solve
+    restart = solver.ProcessWorker.restart
 
-    mode = "inline"
 
-    def __init__(self, policy: Optional[SupervisionPolicy] = None,
-                 name: str = "w0") -> None:
-        self.policy = policy or SupervisionPolicy()
-        self.name = name
-        self.restarts = 0
-        self._session: Optional[Session] = None
-        self._cancelled = False
+class InlineWorker(solver.InlineWorker):
+    """The in-thread twin of :class:`ServiceWorker`."""
 
-    @property
-    def alive(self) -> bool:
-        return True
-
-    pid = None
-
-    def restart(self) -> None:
-        self._session = None
-        self._cancelled = False
-        self.restarts += 1
-
-    def close(self) -> None:
-        self._session = None
-
-    def cancel(self) -> bool:
-        session = self._session
-        if session is None:
-            return False
-        self._cancelled = True
-        try:
-            session.interrupt()
-        except Exception:
-            return False
-        return True
-
-    def _register(self, session: Optional[Session]) -> None:
-        if session is not None:
-            self._cancelled = False
-        self._session = session
-
-    def solve(self, request_id: str, problem, options,
-              deadline: Optional[float] = None,
-              on_heartbeat: Optional[Callable[[dict], None]] = None,
-              ) -> Dict[str, object]:
-        try:
-            return _solve_request(
-                problem, options, deadline, self._register,
-                lambda: self._cancelled, on_heartbeat,
-                self.policy.heartbeat_interval,
-            )
-        except InjectedCrash as exc:
-            raise WorkerCrashed(f"worker {self.name}: injected crash "
-                                f"({exc})") from exc
+    solve = _solve

@@ -21,10 +21,7 @@ lists) so the pivot/update loops do plain Fraction adds with **no
 DeltaRational allocation**, and delta-component work is skipped entirely
 when the delta part of an update is zero (the common case).  Candidate
 violated variables are kept in a lazy min-heap (Bland's rule pops the
-smallest index directly — no ``sorted()`` per pivot iteration), and a float
-mirror of ``beta``/bounds supports an opt-in pre-filter
-(``Simplex(float_prefilter=True)``) that answers clear-cut bound
-comparisons in float and falls back to exact arithmetic on near-ties.
+smallest index directly — no ``sorted()`` per pivot iteration).
 """
 
 from __future__ import annotations
@@ -41,21 +38,17 @@ NO_LIT = -1
 class Simplex:
     """Incremental simplex over ``Q + Q*delta`` with conflict explanations."""
 
-    def __init__(self, float_prefilter: bool = False) -> None:
+    def __init__(self) -> None:
         self._n = 0
-        self._float_prefilter = float_prefilter
         # Bounds as DeltaRational (assertions are rare; comparisons on the
         # hot path read .real/.delta directly).
         self._lower: List[Optional[DeltaRational]] = []
         self._upper: List[Optional[DeltaRational]] = []
         self._lower_lit: List[int] = []
         self._upper_lit: List[int] = []
-        # beta split into parallel Fraction components + a float mirror.
+        # beta split into parallel Fraction components.
         self._beta_r: List[Fraction] = []
         self._beta_d: List[Fraction] = []
-        self._beta_f: List[float] = []
-        self._lower_f: List[float] = []
-        self._upper_f: List[float] = []
         self._is_basic: List[bool] = []
         # For basic variables: row mapping nonbasic var -> coefficient
         # (None for nonbasic variables).
@@ -102,7 +95,6 @@ class Simplex:
         self._upper_lit.append(NO_LIT)
         self._beta_r.append(_F0)
         self._beta_d.append(_F0)
-        self._mirror_new_var()
         self._is_basic.append(False)
         self._rows.append(None)
         self._cols.append(set())
@@ -137,8 +129,6 @@ class Simplex:
         r, d = self._row_value(s)
         self._beta_r[s] = r
         self._beta_d[s] = d
-        if self._float_prefilter:
-            self._resync_float(s)
         return s
 
     def _row_value(self, basic: int) -> Tuple[Fraction, Fraction]:
@@ -158,7 +148,6 @@ class Simplex:
         return len(self._trail)
 
     def undo_to(self, mark: int) -> None:
-        mirror = self._float_prefilter
         while len(self._trail) > mark:
             var, is_lower, old_bound, old_lit, touched = self._trail.pop()
             if touched:
@@ -169,13 +158,9 @@ class Simplex:
             if is_lower:
                 self._lower[var] = old_bound
                 self._lower_lit[var] = old_lit
-                if mirror:
-                    self._mirror_set_lower(var, old_bound)
             else:
                 self._upper[var] = old_bound
                 self._upper_lit[var] = old_lit
-                if mirror:
-                    self._mirror_set_upper(var, old_bound)
 
     # ------------------------------------------------------------------
     # Bound assertion
@@ -196,8 +181,6 @@ class Simplex:
         if tightens:
             self._lower[var] = bound
             self._lower_lit[var] = lit
-            if self._float_prefilter:
-                self._mirror_set_lower(var, bound)
             if fresh_touch:
                 self.touched_bounds.add(var)
             if self._is_basic[var]:
@@ -221,8 +204,6 @@ class Simplex:
         if tightens:
             self._upper[var] = bound
             self._upper_lit[var] = lit
-            if self._float_prefilter:
-                self._mirror_set_upper(var, bound)
             if fresh_touch:
                 self.touched_bounds.add(var)
             if self._is_basic[var]:
@@ -240,87 +221,10 @@ class Simplex:
             self._suspects.add(var)
             heappush(self._suspects_heap, var)
 
-    # ------------------------------------------------------------------
-    # Float mirror (advisory prefilter)
-    # ------------------------------------------------------------------
-    # The mirror is the one deliberate float island in the exact core:
-    # every float value lives in the ``_mirror_*`` methods below (plus
-    # the two sentinels), verdicts leave as tri-state ints, and every
-    # near-tie answer falls back to exact arithmetic in the callers.
-    # repro: allow[exact-arith]:begin advisory float mirror — tri-state
-    # verdicts only; misses fall back to exact Fraction comparisons
-
-    #: Mirror sentinel for "no bound asserted".
-    _INF = float("inf")
-
-    #: Relative guard band: float comparisons whose operands differ by
-    #: less than this (relative) margin are re-done exactly.
-    _FLOAT_GUARD = 1e-6
-
-    def _mirror_new_var(self) -> None:
-        """Extend the mirror lists for a freshly allocated variable."""
-        self._beta_f.append(0.0)
-        self._lower_f.append(-self._INF)
-        self._upper_f.append(self._INF)
-
-    def _mirror_set_lower(self, var: int,
-                          bound: Optional[DeltaRational]) -> None:
-        self._lower_f[var] = (
-            float(bound.real) if bound is not None else -self._INF
-        )
-
-    def _mirror_set_upper(self, var: int,
-                          bound: Optional[DeltaRational]) -> None:
-        self._upper_f[var] = (
-            float(bound.real) if bound is not None else self._INF
-        )
-
-    def _resync_float(self, var: int) -> None:
-        """Refresh the float mirror of ``var`` from its exact value.
-
-        The mirror is *recomputed*, never incrementally updated: an
-        accumulated ``+=`` mirror can drift arbitrarily far from the exact
-        value through catastrophic cancellation, which would let the
-        pre-filter answer a comparison confidently and wrongly.  A fresh
-        conversion is within 1 ulp of the exact value, so the relative
-        guard band in :meth:`_mirror_below`/:meth:`_mirror_above` keeps
-        the filter sound.
-        """
-        r = self._beta_r[var]
-        try:
-            self._beta_f[var] = r.numerator / r.denominator
-        except OverflowError:
-            # Magnitude beyond float range: force the exact fallback.
-            self._beta_f[var] = float("nan")
-
-    def _mirror_below(self, var: int) -> int:
-        """1 if beta[var] is clearly below its lower bound, 0 if clearly
-        not, -1 on a near-tie (caller must decide exactly)."""
-        beta = self._beta_f[var]
-        diff = beta - self._lower_f[var]
-        if abs(diff) > self._FLOAT_GUARD * (1.0 + abs(beta)):
-            return 1 if diff < 0.0 else 0
-        return -1
-
-    def _mirror_above(self, var: int) -> int:
-        """1 if beta[var] is clearly above its upper bound, 0 if clearly
-        not, -1 on a near-tie (caller must decide exactly)."""
-        beta = self._beta_f[var]
-        diff = beta - self._upper_f[var]
-        if abs(diff) > self._FLOAT_GUARD * (1.0 + abs(beta)):
-            return 1 if diff > 0.0 else 0
-        return -1
-
-    # repro: allow[exact-arith]:end
-
     # -- beta/bound comparisons (no DeltaRational allocation) ----------
 
     def _below(self, var: int, bound: DeltaRational) -> bool:
         """beta[var] < bound?"""
-        if self._float_prefilter:
-            verdict = self._mirror_below(var)
-            if verdict >= 0:
-                return verdict == 1
         r = self._beta_r[var]
         br = bound.real
         lhs = r.numerator * br.denominator
@@ -333,10 +237,6 @@ class Simplex:
 
     def _above(self, var: int, bound: DeltaRational) -> bool:
         """beta[var] > bound?"""
-        if self._float_prefilter:
-            verdict = self._mirror_above(var)
-            if verdict >= 0:
-                return verdict == 1
         r = self._beta_r[var]
         br = bound.real
         lhs = r.numerator * br.denominator
@@ -354,18 +254,13 @@ class Simplex:
         beta_r[nonbasic] = value.real
         beta_d[nonbasic] = value.delta
         rows = self._rows
-        mirror = self._float_prefilter
         zero_d = not delta_d
         for basic in self._cols[nonbasic]:
             coeff = rows[basic][nonbasic]
             beta_r[basic] += delta_r * coeff
             if not zero_d:
                 beta_d[basic] += delta_d * coeff
-            if mirror:
-                self._resync_float(basic)
             self._add_suspect(basic)
-        if mirror:
-            self._resync_float(nonbasic)
 
     # ------------------------------------------------------------------
     # Check (Bland's rule)
@@ -444,34 +339,11 @@ class Simplex:
 
     def _can_increase(self, var: int) -> bool:
         up = self._upper[var]
-        return up is None or self._below_bound(var, up)
+        return up is None or self._below(var, up)
 
     def _can_decrease(self, var: int) -> bool:
         lo = self._lower[var]
-        return lo is None or self._above_bound(var, lo)
-
-    def _below_bound(self, var: int, bound: DeltaRational) -> bool:
-        """beta[var] < bound (no float shortcut: bound may be either side)."""
-        r = self._beta_r[var]
-        br = bound.real
-        lhs = r.numerator * br.denominator
-        rhs = br.numerator * r.denominator
-        if lhs != rhs:
-            return lhs < rhs
-        d = self._beta_d[var]
-        bd = bound.delta
-        return d.numerator * bd.denominator < bd.numerator * d.denominator
-
-    def _above_bound(self, var: int, bound: DeltaRational) -> bool:
-        r = self._beta_r[var]
-        br = bound.real
-        lhs = r.numerator * br.denominator
-        rhs = br.numerator * r.denominator
-        if lhs != rhs:
-            return lhs > rhs
-        d = self._beta_d[var]
-        bd = bound.delta
-        return d.numerator * bd.denominator > bd.numerator * d.denominator
+        return lo is None or self._above(var, lo)
 
     def _explain(self, basic: int, below: bool) -> List[int]:
         """Farkas conflict: the violated bound plus the blocking bounds."""
@@ -512,10 +384,6 @@ class Simplex:
         beta_d[basic] = value.delta
         beta_r[nonbasic] += theta_r
         beta_d[nonbasic] += theta_d
-        mirror = self._float_prefilter
-        if mirror:
-            self._resync_float(basic)
-            self._resync_float(nonbasic)
         # Incrementally adjust every other basic row that uses `nonbasic`
         # (cheaper than recomputing whole row values after substitution).
         zero_d = not theta_d
@@ -525,8 +393,6 @@ class Simplex:
                 beta_r[b] += theta_r * coeff
                 if not zero_d:
                     beta_d[b] += theta_d * coeff
-                if mirror:
-                    self._resync_float(b)
                 self._add_suspect(b)
         # The entering variable may now violate its own bounds.
         self._add_suspect(nonbasic)
@@ -616,9 +482,9 @@ class Simplex:
         """Check that beta satisfies all bounds (true right after check())."""
         for var in range(self._n):
             lo, up = self._lower[var], self._upper[var]
-            if lo is not None and self._below_bound(var, lo):
+            if lo is not None and self._below(var, lo):
                 return False
-            if up is not None and self._above_bound(var, up):
+            if up is not None and self._above(var, up):
                 return False
         return True
 
@@ -628,8 +494,8 @@ class Simplex:
             if not self._is_basic[var]:
                 continue
             lo, up = self._lower[var], self._upper[var]
-            violated = (lo is not None and self._below_bound(var, lo)) or (
-                up is not None and self._above_bound(var, up)
+            violated = (lo is not None and self._below(var, lo)) or (
+                up is not None and self._above(var, up)
             )
             if violated and var not in self._suspects:
                 return False
@@ -641,8 +507,8 @@ class Simplex:
             if self._is_basic[var]:
                 continue
             lo, up = self._lower[var], self._upper[var]
-            violated = (lo is not None and self._below_bound(var, lo)) or (
-                up is not None and self._above_bound(var, up)
+            violated = (lo is not None and self._below(var, lo)) or (
+                up is not None and self._above(var, up)
             )
             if violated and var not in self._dirty:
                 return False

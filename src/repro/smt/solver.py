@@ -2,15 +2,14 @@
 
 The *public* solving surface is :class:`repro.api.Session` (pluggable
 backends, rich outcomes, first-class unsat cores — see ``docs/api.md``);
-this module is the engine behind its native backend.  The legacy name
-``Solver`` remains as a warn-once deprecation shim.
+this module is the engine behind its native backend.
 
 Usage::
 
-    from repro.smt import Solver, Real, Bool, Or, And, sat
+    from repro.smt import SolverEngine, Real, Bool, Or, And, sat
 
     x, y = Real("x"), Real("y")
-    s = Solver()
+    s = SolverEngine()
     s.add(x - y >= 2, Or(Bool("a"), x + y <= 10))
     if s.check() == sat:
         m = s.model()
@@ -37,7 +36,6 @@ while everything learned from them remains valid.
 from __future__ import annotations
 
 import itertools
-import warnings
 
 from collections import deque
 from fractions import Fraction
@@ -64,7 +62,7 @@ from .terms import (
 )
 from .theory import LraTheory
 
-#: Fresh activation-variable names across all Solver instances (BoolVar
+#: Fresh activation-variable names across all SolverEngine instances (BoolVar
 #: interns by name globally, so scope selectors must never collide).
 _SCOPE_IDS = itertools.count()
 
@@ -80,7 +78,7 @@ _CHECK_STAT_KEYS = (
     "restarts",
 )
 
-#: Per-check statistics of every Solver in this process, in check() order.
+#: Per-check statistics of every SolverEngine in this process, in check() order.
 #: The benchmark harness (:mod:`repro.eval.bench`) drains this to build a
 #: solve trajectory without threading a recorder through the experiment
 #: runners.  A bounded ring buffer: processes that never drain (services,
@@ -201,8 +199,7 @@ class SolverEngine:
     """Incremental DPLL(T) solver for QF_LRA + Booleans.
 
     This is the *native engine* behind the public session API
-    (:class:`repro.api.Session` with the ``"native"`` backend); the
-    legacy entry point :class:`Solver` is a deprecated alias.
+    (:class:`repro.api.Session` with the ``"native"`` backend).
 
     ``theory_propagation`` (default on) lets the theory assign implied
     atoms instead of branching on them — the ``theory_propagations``
@@ -213,9 +210,7 @@ class SolverEngine:
     the difference-logic graph) with multi-literal path explanations —
     counted by ``dl_propagations`` / ``dl_explanation_lits``;
     ``dl_effort`` caps the per-edge shortest-path work (heap pops per
-    direction).  ``float_prefilter`` answers clear-cut simplex bound
-    comparisons in floating point, falling back to exact rational
-    arithmetic on near-ties (opt-in; exact is the default).
+    direction).
 
     ``backend_name`` tags this engine's entries in the global per-check
     statistics stream so benchmark trajectories can attribute work per
@@ -237,13 +232,11 @@ class SolverEngine:
     backend_name = "native"
 
     def __init__(self, theory_propagation: bool = True,
-                 float_prefilter: bool = False,
                  dl_propagation: bool = True,
                  dl_effort: Optional[int] = None,
                  on_restart=None,
                  max_conflicts: Optional[int] = None) -> None:
         self._theory = LraTheory(propagation=theory_propagation,
-                                 float_prefilter=float_prefilter,
                                  dl_propagation=dl_propagation,
                                  dl_effort=dl_effort)
         self._sat = SatSolver(self._theory)
@@ -575,27 +568,3 @@ class SolverEngine:
         if self._model is None:
             raise SolverError("model is only available after a sat check()")
         return self._model
-
-
-#: One-shot deprecation latch for the legacy ``Solver`` entry point.
-_SOLVER_DEPRECATION_WARNED = False
-
-
-class Solver(SolverEngine):
-    """Deprecated alias of :class:`SolverEngine`.
-
-    The public solving surface is :class:`repro.api.Session`; this name
-    stays importable for existing code and warns once per process.
-    """
-
-    def __init__(self, *args, **kwargs) -> None:
-        global _SOLVER_DEPRECATION_WARNED
-        if not _SOLVER_DEPRECATION_WARNED:
-            _SOLVER_DEPRECATION_WARNED = True
-            warnings.warn(
-                "repro.smt.Solver is deprecated; use repro.api.Session "
-                "(native backend) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        super().__init__(*args, **kwargs)

@@ -14,7 +14,7 @@ from repro.core import (
     render_switch_configs,
     solution_from_dict,
     solution_to_dict,
-    synthesize,
+    solve,
     validate_solution,
 )
 from repro.errors import ValidationError
@@ -44,7 +44,7 @@ def make_problem(n_apps=2, period_ms=5):
 class TestMinimizeJitter:
     def test_produces_valid_low_jitter_solution(self):
         problem = make_problem(2)
-        baseline = synthesize(problem, SynthesisOptions(routes=2))
+        baseline = solve(problem, SynthesisOptions(routes=2))
         refined = minimize_jitter(problem, routes=2,
                                   tolerance=Fraction(1, 100000))
         assert refined.ok
@@ -78,7 +78,7 @@ class TestMinimizeJitter:
 class TestExport:
     @pytest.fixture(scope="class")
     def solution(self):
-        res = synthesize(make_problem(2), SynthesisOptions(routes=2))
+        res = solve(make_problem(2), SynthesisOptions(routes=2))
         return res.solution
 
     def test_json_round_trip(self, solution):

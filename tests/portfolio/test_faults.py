@@ -16,6 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core import collect_violations
 from repro.core.synthesizer import SynthesisOptions
 from repro.eval.workloads import gm_case_study, sharing_problem
 from repro.portfolio import (
@@ -286,7 +287,8 @@ class TestAcceptanceChaos:
         chaos = synthesize_portfolio(problem, strategies, timeout=60,
                                      supervision=FAST, fault_plan=plan)
         assert chaos.status == base.status
-        assert chaos.winner == base.winner
+        # Which sat entrant wins is a timing race; its schedule must be valid.
+        assert not chaos.ok or collect_violations(chaos.solution) == []
         assert chaos.supervision_statistics["crash_retries"] >= 1
         assert_no_leaked_workers()
         return chaos

@@ -7,6 +7,8 @@ proved it, named by ``verdict_by``), ``timeout`` (undecided at a
 deadline), ``unknown`` (heuristic failures / errors only).
 """
 
+import errno
+import multiprocessing
 from fractions import Fraction
 
 import pytest
@@ -142,6 +144,47 @@ class TestNoWinnerMatrix:
         assert res.winner == "retrying"
         assert res.verdict_by == "retrying"
         assert res.result_for("retrying").attempts == 2
+
+
+class TestSpawnFailure:
+    """Workers that cannot be spawned degrade the race, never its verdict."""
+
+    ENTRIES = [
+        Strategy("routes-1", SynthesisOptions(routes=1)),
+        Strategy("routes-2", SynthesisOptions(routes=2)),
+        Strategy("monolithic", SynthesisOptions()),
+    ]
+
+    def _fail_spawns_after(self, monkeypatch, limit: int) -> None:
+        start = multiprocessing.process.BaseProcess.start
+        spawned = [0]
+
+        def flaky_start(proc):
+            spawned[0] += 1
+            if spawned[0] > limit:
+                raise OSError(errno.EAGAIN, "no more processes")
+            return start(proc)
+
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start",
+                            flaky_start)
+
+    def test_no_spawn_at_all_runs_the_race_in_process(self, monkeypatch):
+        self._fail_spawns_after(monkeypatch, 0)
+        res = synthesize_portfolio(workloads.sharing_problem(), self.ENTRIES,
+                                   timeout=120)
+        assert res.status == STATUS_SAT and res.degraded_to_serial
+        assert res.result_for("routes-1").status == STATUS_UNSAT
+        assert res.supervision_statistics["degradations"] == 0
+        assert multiprocessing.active_children() == []
+
+    def test_mid_race_spawn_failure_degrades_the_rest(self, monkeypatch):
+        self._fail_spawns_after(monkeypatch, 1)
+        res = synthesize_portfolio(workloads.sharing_problem(), self.ENTRIES,
+                                   timeout=120)
+        assert res.status == STATUS_SAT and res.degraded_to_serial
+        assert res.supervision_statistics["degradations"] == 1
+        assert res.result_for("routes-1").status == STATUS_UNSAT
+        assert multiprocessing.active_children() == []
 
 
 class TestRestartBudgetValidation:
