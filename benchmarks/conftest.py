@@ -10,14 +10,14 @@ import pathlib
 
 import pytest
 
-_BENCH_DIR = pathlib.Path(__file__).parent.resolve()
+_HERE = pathlib.Path(__file__).parent.resolve()
 
 
 def pytest_collection_modifyitems(config, items):
     # This hook sees every item of the session (e.g. `pytest tests
     # benchmarks`); only mark the ones that live in this directory.
     for item in items:
-        if _BENCH_DIR in pathlib.Path(str(item.fspath)).resolve().parents:
+        if _HERE in pathlib.Path(str(item.fspath)).resolve().parents:
             item.add_marker(pytest.mark.benchmark)
 
 

@@ -1,10 +1,11 @@
 """``determinism``: result-determining modules must be reproducible.
 
 The service's knowledge cache is keyed by a canonical problem
-fingerprint, and the eval workload generators feed committed bench
-baselines — a wall-clock read, an unseeded RNG, or iteration over an
-unordered set in either would quietly change results between runs (or
-python processes, under hash randomization).  Inside the declared
+fingerprint, and the eval workload generators feed the benchmark's
+recorded input digests and search-counter ceilings — a wall-clock
+read, an unseeded RNG, or iteration over an unordered set in either
+would quietly change results between runs (or python processes, under
+hash randomization).  Inside the declared
 modules this rule flags:
 
 * module-level ``random.*`` calls (``random.Random(seed)`` instances

@@ -96,7 +96,6 @@ class NativeBackend:
             dl_effort=dl_effort,
             on_restart=on_restart,
             max_conflicts=max_conflicts)
-        self._engine.backend_name = self.name
 
     @property
     def engine(self) -> SolverEngine:
@@ -247,7 +246,6 @@ class SerializationBackend:
     ) -> BackendAnswer:
         """Fresh native engine over the recorded assertion log."""
         engine = SolverEngine()
-        engine.backend_name = self.name
         for expr in assertions:
             engine.add(expr)
         status = engine.check(*assumptions)

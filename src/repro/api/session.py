@@ -125,8 +125,8 @@ class Session:
     def statistics(self) -> Dict[str, int]:
         """Session counters plus the backend's cumulative statistics.
 
-        Backend keys are prefixed with the backend name so portfolio /
-        bench reporting can attribute work per backend.
+        Backend keys are prefixed with the backend name so reports can
+        attribute work per backend.
         """
         stats: Dict[str, int] = dict(self._counters)
         stats["wall_time_ms"] = int(self._wall_time * 1000)

@@ -9,12 +9,7 @@ Regenerates any of the paper's tables/figures from the terminal::
 
 The sweep experiments (fig4/fig5/fig6) accept ``--jobs N`` to fan their
 (seed, configuration) grid out over a process pool; results are identical
-to the serial run.  ``bench`` runs the regression-tracked benchmark suite
-(:mod:`repro.eval.bench`), writing ``BENCH_<name>.json`` files and
-optionally failing on regression against a committed baseline::
-
-    python -m repro.eval bench --bench-names table1 fig3 \
-        --baseline-dir benchmarks/baselines --fail-threshold 0.25
+to the serial run.
 """
 
 from __future__ import annotations
@@ -33,9 +28,8 @@ def main(argv=None) -> int:
     parser.add_argument(
         "experiment",
         choices=("fig3", "fig4", "fig5", "fig6", "fig7", "table1",
-                 "portfolio", "bench", "all"),
-        help="which artifact to regenerate (or 'bench' for the "
-             "regression-tracked benchmark suite)",
+                 "portfolio", "all"),
+        help="which artifact to regenerate",
     )
     parser.add_argument("--problems", type=int, default=5,
                         help="number of random problems (figs 4-6)")
@@ -46,40 +40,7 @@ def main(argv=None) -> int:
     parser.add_argument("--jobs", type=int, default=None,
                         help="worker processes for the fig4-6 sweeps "
                              "(default: serial)")
-    parser.add_argument("--bench-names", nargs="+", default=None,
-                        metavar="NAME",
-                        help="benchmarks to run with 'bench' (default: "
-                             "table1 fig3 fig4 backends unsat_core "
-                             "portfolio dl_propagation faults service)")
-    parser.add_argument("--out", default=".",
-                        help="directory for BENCH_<name>.json files")
-    parser.add_argument("--baseline-dir", default=None,
-                        help="directory with committed BENCH baselines to "
-                             "compare against")
-    parser.add_argument("--fail-threshold", type=float, default=0.25,
-                        help="regression tolerance vs baseline "
-                             "(default 0.25 = +25%%)")
-    parser.add_argument("--no-wall-gate", action="store_true",
-                        help="skip the wall-time gate (statuses and "
-                             "deterministic solver-work counters only); "
-                             "use when the baseline was recorded on "
-                             "different hardware")
     args = parser.parse_args(argv)
-
-    if args.experiment == "bench":
-        from .bench import run_suite
-
-        names = args.bench_names or ["table1", "fig3", "fig4",
-                                     "backends", "unsat_core", "portfolio",
-                                     "dl_propagation", "faults", "service"]
-        regressions = run_suite(
-            names,
-            out_dir=args.out,
-            baseline_dir=args.baseline_dir,
-            threshold=args.fail_threshold,
-            wall_gate=not args.no_wall_gate,
-        )
-        return 1 if regressions else 0
 
     runners = {
         "fig3": lambda: experiments.run_fig3(),

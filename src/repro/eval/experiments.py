@@ -23,7 +23,7 @@ from ..core.synthesizer import (
     SynthesisResult,
     solve,
 )
-from ..core.validator import collect_violations
+from ..core.validator import validate_solution
 from ..portfolio import PortfolioResult, Strategy, default_portfolio, synthesize_portfolio
 from ..stability.curve import StabilityCurve, compute_stability_curve
 from ..stability.piecewise import StabilitySpec, fit_lower_bound
@@ -337,7 +337,11 @@ def run_portfolio(
     backend: str = "process",
     seed0: int = 0,
 ) -> PortfolioExperimentResult:
-    """Race the default (or given) portfolio over the Fig. 4/6 workload."""
+    """Race the default (or given) portfolio over the Fig. 4/6 workload.
+
+    Every winning schedule goes through :func:`validate_solution`, which
+    raises :class:`~repro.errors.ValidationError` on any violation.
+    """
     entries = list(strategies) if strategies is not None else default_portfolio()
     points: List[PortfolioPoint] = []
     win_counts: Dict[str, int] = {s.name: 0 for s in entries}
@@ -349,7 +353,7 @@ def run_portfolio(
             timeout=timeout, backend=backend,
         )
         if res.ok:
-            assert collect_violations(res.solution) == []
+            validate_solution(res.solution)
             solved += 1
             win_counts[res.winner] += 1
         points.append(
@@ -432,7 +436,12 @@ def run_table1(
     stages: int = 5,
     show_rows: int = 5,
 ) -> Table1Result:
-    """Both columns of Table I: stability-aware vs deadline synthesis."""
+    """Both columns of Table I: stability-aware vs deadline synthesis.
+
+    Every sat schedule goes through :func:`validate_solution` (the
+    deadline column without the stability check), which raises
+    :class:`~repro.errors.ValidationError` on any violation.
+    """
     problem = workloads.gm_case_study(n_apps=n_apps)
 
     def rows_of(result: SynthesisResult) -> Tuple[List[Table1Row], int]:
@@ -463,12 +472,12 @@ def run_table1(
         problem, SynthesisOptions(mode=MODE_STABILITY, routes=routes, stages=stages)
     )
     if res_stab.ok:
-        assert collect_violations(res_stab.solution) == []
+        validate_solution(res_stab.solution)
     res_dead = solve(
         problem, SynthesisOptions(mode=MODE_DEADLINE, routes=routes, stages=stages)
     )
     if res_dead.ok:
-        assert collect_violations(res_dead.solution, check_stability=False) == []
+        validate_solution(res_dead.solution, check_stability=False)
 
     stab_rows, stab_count = rows_of(res_stab)
     dead_rows, dead_count = rows_of(res_dead)

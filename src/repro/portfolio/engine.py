@@ -53,8 +53,9 @@ The schedule travels back as plain
 to the caller's problem object, so no solver state ever crosses the
 process boundary.  ``backend="serial"`` is the same scheduler over one
 in-process worker, running the strategies in order (deterministic, used
-on platforms without usable subprocesses and by the ``portfolio``
-bench); a failed process launch degrades to it automatically.
+on platforms without usable subprocesses and by the search-work gate in
+``benchmarks/test_search_work.py``); a failed process launch degrades to
+it automatically.
 Knowledge sharing and crash supervision work in both backends —
 serially, knowledge flows from each finished strategy into the next, and
 the worker's interrupt thread bounds native attempts mid-check so the
@@ -591,19 +592,20 @@ class _Race:
             self.supervisor.note_crash(name)
         inline = att.worker.mode == "inline"
         used = self.crash_retries.get(idx, 0)
-        if used < strategy.max_crash_retries and (
-                self.deadline is None or now < self.deadline):
+        # Past the race deadline no retry is left to grant.
+        budget = (strategy.max_crash_retries
+                  if self.deadline is None or now < self.deadline else used)
+        delay = self.supervisor.crash_retry(name, used, budget)
+        if delay is not None:
             self.crash_retries[idx] = used + 1
-            self.supervisor.note_retry(name)
             # The retry is re-seeded from the pool at launch and keeps
             # the dead attempt's schedule position.
-            not_before = now + self.policy.backoff(used + 1)
+            not_before = now + delay
             if self.deadline is not None:
                 not_before = min(not_before, self.deadline)
             retry = (idx, att.attempt + 1, att.sched, not_before)
             self.pending.insert(0 if inline else len(self.pending), retry)
             return
-        self.supervisor.note_exhausted(name)
         if inline:
             self.results[idx] = StrategyResult(
                 name=name, status=STATUS_ERROR,

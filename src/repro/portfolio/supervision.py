@@ -114,9 +114,10 @@ def valid_heartbeat(frame) -> bool:
 class Supervisor:
     """Parent-side accounting of one race's supervision events.
 
-    Purely observational bookkeeping — the engine makes the actual
-    kill/retry/degrade decisions and reports them here, so both race
-    backends (process and serial) share one counter vocabulary.
+    Mostly bookkeeping — the engine makes the kill/degrade decisions and
+    reports them here, so both race backends (process and serial) and
+    the service share one counter vocabulary.  The one decision it owns
+    is the crash-retry policy (:meth:`crash_retry`).
     """
 
     def __init__(self, policy: Optional[SupervisionPolicy] = None) -> None:
@@ -149,11 +150,20 @@ class Supervisor:
     def note_stall(self, strategy: str) -> None:
         self._bump(strategy, "stalls_detected")
 
-    def note_retry(self, strategy: str) -> None:
-        self._bump(strategy, "crash_retries")
+    def crash_retry(self, strategy: str, retries_used: int,
+                    max_retries: int) -> Optional[float]:
+        """After a crash or stall: the backoff before the next attempt.
 
-    def note_exhausted(self, strategy: str) -> None:
+        Grants retry ``retries_used + 1`` (recorded as ``crash_retries``)
+        while fewer than ``max_retries`` were used, and returns its
+        delay; otherwise records ``crash_budget_exhausted`` and returns
+        None.  The race and the service both decide through here.
+        """
+        if retries_used < max_retries:
+            self._bump(strategy, "crash_retries")
+            return self.policy.backoff(retries_used + 1)
         self._bump(strategy, "crash_budget_exhausted")
+        return None
 
     def note_quarantined(self, strategy: str) -> None:
         self._bump(strategy, "quarantined_artifacts")

@@ -199,9 +199,7 @@ def execute_strategy(problem, strategy: Strategy, emit=None, heartbeat=None,
     learned clauses and route vetoes on a provable unsat.  ``heartbeat``
     is called with the engine at every restart boundary.  ``deadline``
     (absolute ``perf_counter`` time) and ``runner.cancelled`` arm the
-    :class:`Interrupter`.  The engine's statistics-stream tag carries
-    the strategy name (``native[<name>]``), so per-check work is
-    attributed per strategy.
+    :class:`Interrupter`.
 
     Any failure becomes an ``error`` payload — except
     :class:`InjectedCrash`, which models a death that never reports.
@@ -213,7 +211,6 @@ def execute_strategy(problem, strategy: Strategy, emit=None, heartbeat=None,
         if opts.backend == "native":
             engine = synth.Solver(dl_propagation=opts.dl_propagation,
                                   max_conflicts=opts.max_conflicts)
-            engine.backend_name = f"native[{strategy.name}]"
             session = Session(backend=NativeBackend(engine=engine))
             hooks = [heartbeat] if heartbeat is not None else []
             if emit is not None:

@@ -27,8 +27,7 @@ of persistent workers (process or inline — see
 
 Metrics (:meth:`SynthesisServer.stats`) aggregate queue wait / solve
 wall percentiles, response-type counts, cache hit/miss counters,
-warm-start conflict savings, and supervision events; the bench harness
-folds them into its roll-ups.
+warm-start conflict savings, and supervision events.
 """
 
 from __future__ import annotations
@@ -365,18 +364,18 @@ class SynthesisServer:
                 if pending.cancel_requested:
                     return ({"status": "unknown", "cancelled": True,
                              "deadline_exceeded": False}, attempt)
-                if attempt > self.policy.max_crash_retries:
-                    self.supervisor.note_exhausted(_STRATEGY)
+                delay = self.supervisor.crash_retry(
+                    _STRATEGY, attempt - 1, self.policy.max_crash_retries)
+                if delay is None:
                     return ({"status": "error", "cancelled": False,
                              "deadline_exceeded": False,
                              "error": f"worker crashed, retries exhausted: "
                                       f"{exc}"}, attempt)
-                self.supervisor.note_retry(_STRATEGY)
                 # repro: allow[async-blocking] _solve_blocking only ever
                 # runs on the loop's default executor (see _solve:
                 # run_in_executor), so this backoff sleeps a worker
                 # thread, never the event loop.
-                time.sleep(self.policy.supervision.backoff(attempt))
+                time.sleep(delay)
                 attempt += 1
 
     def _note_heartbeat(self, frame: dict) -> None:

@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import itertools
 
-from collections import deque
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -77,27 +76,6 @@ _CHECK_STAT_KEYS = (
     "dl_explanation_lits",
     "restarts",
 )
-
-#: Per-check statistics of every SolverEngine in this process, in check() order.
-#: The benchmark harness (:mod:`repro.eval.bench`) drains this to build a
-#: solve trajectory without threading a recorder through the experiment
-#: runners.  A bounded ring buffer: processes that never drain (services,
-#: portfolio workers) keep only the most recent entries instead of leaking
-#: one dict per check() forever.
-_CHECK_STATS_CAP = 10_000
-_GLOBAL_CHECK_STATS: "deque[Dict[str, object]]" = deque(maxlen=_CHECK_STATS_CAP)
-
-
-def drain_global_check_stats() -> List[Dict[str, object]]:
-    """Return and clear the per-check stats accumulated in this process.
-
-    Besides the monotone counters, every entry carries a ``"backend"``
-    tag naming the engine that performed the check, so trajectories can
-    attribute work per backend.
-    """
-    out = list(_GLOBAL_CHECK_STATS)
-    _GLOBAL_CHECK_STATS.clear()
-    return out
 
 
 class CheckResult:
@@ -212,10 +190,6 @@ class SolverEngine:
     ``dl_effort`` caps the per-edge shortest-path work (heap pops per
     direction).
 
-    ``backend_name`` tags this engine's entries in the global per-check
-    statistics stream so benchmark trajectories can attribute work per
-    backend (see :mod:`repro.eval.bench`).
-
     ``on_restart`` (also assignable after construction) is called with
     the engine at every SAT-core restart boundary inside ``check()`` —
     the trail is backjumped to the assumption level, so
@@ -227,9 +201,6 @@ class SolverEngine:
     ``on_restart`` flush).  :meth:`interrupt` aborts a running check the
     same way from another thread.
     """
-
-    #: Statistics-stream tag; backends override it per instance.
-    backend_name = "native"
 
     def __init__(self, theory_propagation: bool = True,
                  dl_propagation: bool = True,
@@ -368,9 +339,6 @@ class SolverEngine:
             key: after.get(key, 0) - before.get(key, 0)
             for key in _CHECK_STAT_KEYS
         }
-        entry: Dict[str, object] = dict(self._last_check_stats)
-        entry["backend"] = self.backend_name
-        _GLOBAL_CHECK_STATS.append(entry)  # type: ignore[arg-type]
         if solved is None:
             # Budget/interrupt abort: no verdict, no model, no core.
             return unknown

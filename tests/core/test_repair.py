@@ -19,6 +19,7 @@ from repro.core import (
 from repro.eval.workloads import (
     bottleneck_problem,
     bottleneck_repair_problem,
+    gm_case_study,
 )
 
 
@@ -104,6 +105,11 @@ class TestStageRepair:
         result = solve(bottleneck_repair_problem(),
                        SynthesisOptions(routes=2, stages=2, backend=backend))
         assert result.status == "unsat"
+        # The automotive case is sat, with a clean schedule, on both.
+        result = solve(gm_case_study(3),
+                       SynthesisOptions(routes=2, stages=3, backend=backend))
+        assert result.status == "sat"
+        assert collect_violations(result.solution) == []
 
     def test_max_repair_rounds_bounds_work(self):
         result = solve(bottleneck_repair_problem(),

@@ -3,6 +3,9 @@ exercise the real scales)."""
 
 import pytest
 
+from repro.core import Solution
+from repro.core.synthesizer import MODE_DEADLINE, SynthesisResult
+from repro.errors import ValidationError
 from repro.eval import (
     run_fig3,
     run_fig4,
@@ -11,6 +14,8 @@ from repro.eval import (
     run_fig7,
     run_table1,
 )
+from repro.eval import experiments
+from repro.portfolio import PortfolioResult
 
 
 class TestFig3:
@@ -60,3 +65,33 @@ class TestSynthesisRunners:
         assert res.stability_stable_count == 4
         text = res.render()
         assert "Stability-Aware" in text and "Deadline" in text
+
+
+def _unscheduled(problem, mode="stability"):
+    """A "sat" schedule that leaves every message unscheduled."""
+    return Solution(problem, {}, mode=mode)
+
+
+class TestRunnersCertifyEverySchedule:
+    """A schedule the validator rejects must fail the run (also under -O)."""
+
+    @pytest.mark.parametrize("bad_mode", ["stability", MODE_DEADLINE])
+    def test_table1_raises_on_a_violating_schedule(self, monkeypatch, bad_mode):
+        real_solve = experiments.solve
+
+        def stub(problem, options):
+            if options.mode != bad_mode:
+                return real_solve(problem, options)
+            return SynthesisResult("sat", _unscheduled(problem, bad_mode), 0.0, 1)
+
+        monkeypatch.setattr(experiments, "solve", stub)
+        with pytest.raises(ValidationError, match="not scheduled"):
+            run_table1(n_apps=3, routes=2, stages=2)
+
+    def test_portfolio_raises_on_a_violating_winner(self, monkeypatch):
+        def stub(problem, strategies, **kwargs):
+            return PortfolioResult("sat", "stub", _unscheduled(problem), 0.0, [])
+
+        monkeypatch.setattr(experiments, "synthesize_portfolio", stub)
+        with pytest.raises(ValidationError, match="not scheduled"):
+            experiments.run_portfolio(n_problems=1, n_apps=3)

@@ -37,6 +37,7 @@ from repro.portfolio.faults import (
     corrupt_frame,
 )
 from repro.portfolio.sharing import KnowledgePool, validate_artifact
+from repro.portfolio.supervision import Supervisor
 
 #: Fast supervision for tests: tight heartbeats, sub-second stall
 #: detection, near-instant backoff, short kill grace.
@@ -95,6 +96,15 @@ class TestFaultPlan:
                                    backoff_cap=0.3)
         assert policy.backoff_schedule(5) == [0.05, 0.1, 0.2, 0.3, 0.3]
         assert policy.backoff_schedule(5) == policy.backoff_schedule(5)
+
+    def test_crash_retry_grants_backoff_until_the_budget_is_spent(self):
+        sup = Supervisor(SupervisionPolicy(backoff_base=0.05, backoff_cap=0.3))
+        delays = [sup.crash_retry("s", used, 2) for used in range(3)]
+        assert delays == [0.05, 0.1, None]
+        assert sup.strategy_statistics("s") == {
+            "crash_retries": 2, "crash_budget_exhausted": 1}
+        assert sup.crash_retry("t", 0, 0) is None
+        assert sup.statistics["crash_budget_exhausted"] == 2
 
 
 class TestQuarantine:
@@ -306,6 +316,7 @@ class TestAcceptanceChaos:
             FaultSpec(CORRUPT, strategy="routes-1", attempt=0, frame=0),
         ], seed=11)
         chaos = self._chaos(sharing_problem(), strategies, plan)
+        assert chaos.status == "sat"
         assert chaos.supervision_statistics["quarantined_artifacts"] >= 1
 
     def test_gm_case_study_survives_kill_hang_corrupt(self):
@@ -319,7 +330,7 @@ class TestAcceptanceChaos:
             FaultSpec(HANG, strategy="stages-2", attempt=1),
             FaultSpec(CORRUPT, strategy="monolithic", attempt=0, frame=0),
         ], seed=13)
-        self._chaos(gm_case_study(4), strategies, plan)
+        assert self._chaos(gm_case_study(4), strategies, plan).status == "sat"
 
 
 class TestSerialSupervision:

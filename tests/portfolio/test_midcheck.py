@@ -92,7 +92,7 @@ class TestUnitExport:
 
 class TestMidCheckRace:
     def test_budget_killed_monolithic_seeds_the_winner(self):
-        """The bench/CI scenario, end to end on the serial backend.
+        """The mid-check race, end to end on the serial backend.
 
         The monolithic worker hits ``max_conflicts`` inside its first
         long check and answers unknown — but its restart-boundary

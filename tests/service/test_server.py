@@ -1,9 +1,10 @@
 """SynthesisServer: admission, batching, deadlines, cache, TCP."""
 
 import asyncio
+from fractions import Fraction
 
 from repro.core.synthesizer import SynthesisOptions
-from repro.eval.workloads import gm_case_study
+from repro.eval.workloads import bottleneck_problem, gm_case_study
 from repro.service import (
     KnowledgeCache,
     ServiceClient,
@@ -134,6 +135,10 @@ class TestSolve:
 
 class TestCacheIntegration:
     def test_exact_repeat_is_warm_and_cheaper(self, tmp_path):
+        def work(reply):
+            return (reply["statistics"]["conflicts"]
+                    + reply["statistics"]["decisions"])
+
         async def body():
             cache = KnowledgeCache(tmp_path)
             async with SynthesisServer(policy=INLINE, cache=cache) as server:
@@ -145,13 +150,20 @@ class TestCacheIntegration:
                 assert warm["cache"]["hit"] == "exact"
                 assert warm["status"] == cold["status"] == "sat"
                 assert warm["statistics"]["prefix_hits"] >= 1
-                cold_work = (cold["statistics"]["conflicts"]
-                             + cold["statistics"]["decisions"])
-                warm_work = (warm["statistics"]["conflicts"]
-                             + warm["statistics"]["decisions"])
-                assert warm_work < cold_work
+                assert work(warm) < work(cold)
                 assert cache.counters["stores"] == 1
                 assert cache.counters["exact_hits"] == 1
+                # Sat and unsat alike: same verdict, exact hit, less work.
+                for problem, opts, status in (
+                        (gm_case_study(3), SynthesisOptions(routes=3), "sat"),
+                        (bottleneck_problem(3), MODERATE_OPTS, "sat"),
+                        (bottleneck_problem(3, period=Fraction(35, 10000)),
+                         MODERATE_OPTS, "unsat")):
+                    cold = await client.solve(problem, opts)
+                    warm = await client.solve(problem, opts)
+                    assert cold["status"] == warm["status"] == status
+                    assert warm["cache"]["hit"] == "exact"
+                    assert work(warm) < work(cold)
         run(body())
 
     def test_subset_ancestor_seeds_new_request(self, tmp_path):
